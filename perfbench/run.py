@@ -40,7 +40,6 @@ from workloads import WORKLOADS, known_defects  # noqa: E402
 # above every request's worst case at the seed commit (free 7, 3 s),
 # below the known stalls
 DEADLINE_S = 15.0
-SETUP_REPEATS = 7
 INTERP_REPEATS = 7
 
 @dataclass
@@ -153,30 +152,32 @@ def metadata(workload: str, seed: int) -> dict:
 
 # --- end-to-end run ----------------------------------------------------------
 
-def measure_setup(first: Request) -> tuple[float, list[Outcome], str]:
-    """Cold first request, each time with a fresh, empty bytecode cache.
-
-    Returns the median wall time, the outcomes, and the cache the last
-    repeat left warm for the timed run."""
-    outcomes = []
-    for i in range(SETUP_REPEATS):
-        cache = fresh_dir(os.path.join(BUILD, f"pycache-{i}"))
-        outcomes.append(verify(first, run_request(first, child_env(cache))))
-    return statistics.median(o.seconds for o in outcomes), outcomes, cache
+def cold_run(first: Request, i: int) -> Outcome:
+    """The set-up request with a fresh, empty bytecode cache."""
+    cache = fresh_dir(os.path.join(BUILD, f"pycache-cold-{i % 2}"))
+    return verify(first, run_request(first, child_env(cache)))
 
 
-def run_timed(name: str, seed: int, seconds: float, env: dict):
+def run_timed(workload, seed: int, seconds: float, env: dict):
     """Rounds over the workload's request list until `seconds` have passed.
 
-    A round runs every request once, in order; the run stops after the
-    round that ends nearest to `seconds`.  Returns (request, outcomes)
-    pairs, one outcome per round."""
-    done = [(req, []) for req in WORKLOADS[name].requests(seed)]
+    A round runs the set-up request cold once, then makes passes over the
+    list: every request runs in the first pass, and a request whose
+    population repeats runs in as many passes as it repeats.  The run
+    stops after the round that ends nearest to `seconds`.  Returns the
+    cold outcomes and (request, outcomes) pairs."""
+    first = workload.setup_request(seed)
+    done = [(req, []) for req in workload.requests(seed)]
+    passes = max(workload.runs_per_round(req) for req, _ in done)
+    cold = []
     start = time.perf_counter()
     rounds = 0
     while True:
-        for req, outcomes in done:
-            outcomes.append(run_request(req, env))
+        cold.append(cold_run(first, len(cold)))
+        for p in range(passes):
+            for req, outcomes in done:
+                if p < workload.runs_per_round(req):
+                    outcomes.append(run_request(req, env))
         rounds += 1
         spent = time.perf_counter() - start
         if spent + spent / rounds / 2 >= seconds:
@@ -184,33 +185,37 @@ def run_timed(name: str, seed: int, seconds: float, env: dict):
     for req, outcomes in done:
         for outcome in outcomes:
             verify(req, outcome)
-    return done
+    return cold, done
 
 
 def end_to_end(name: str, seed: int, seconds: float) -> dict:
-    first = WORKLOADS[name].setup_request(seed)
-    setup_s, setup_outcomes, cache = measure_setup(first)
-    done = run_timed(name, seed, seconds, child_env(cache))
+    workload = WORKLOADS[name]
+    first = workload.setup_request(seed)
+    # warm the timed run's bytecode cache, outside the timed region
+    env = child_env(fresh_dir(os.path.join(BUILD, "pycache")))
+    warm = [verify(first, run_request(first, env))]
+    setup_outcomes, done = run_timed(workload, seed, seconds, env)
+    setup_outcomes = warm + setup_outcomes
     # a request's latency is the best of its rounds: other tenants of the
     # machine only ever add time, and they come and go
     best = [min(o.seconds for o in outcomes) * 1000
             if all(o.ok for o in outcomes) else math.inf
             for _, outcomes in done]
-    tail = WORKLOADS[name].tail_pct
+    tail = workload.tail_pct
     correct = sum(b < math.inf for b in best)
     ranked = sorted(zip(best, (len(o) for _, o in done)))
     beyond = sum(n for _, n in ranked[math.ceil(tail / 100 * len(best)):])
     runs = [o for _, outcomes in done for o in outcomes]
     report_failures([(req, o) for req, outcomes in done for o in outcomes]
                     + [(first, o) for o in setup_outcomes])
-    print(f"# {len(best)} requests, {len(runs)} timed runs in {len(done[0][1])} rounds; "
+    print(f"# {len(best)} requests, {len(runs)} timed runs in {len(setup_outcomes) - 1} rounds; "
           f"tail = p{tail} with {beyond} timed runs beyond it")
     finite = [b for b in best if b < math.inf]
     return {
         "attempted": len(runs) + len(setup_outcomes),
         "failed": sum(not o.ok for o in runs + setup_outcomes),
         "metrics": {
-            "setup_s": (setup_s, "s"),
+            "setup_s": (statistics.median(o.seconds for o in setup_outcomes[1:]), "s"),
             "latency_p50_ms": (percentile(best, 50), "ms"),
             "latency_tail_ms": (percentile(best, tail), "ms"),
             "throughput_rps": (correct / sum(finite) * 1000 if finite else 0.0, "1/s"),

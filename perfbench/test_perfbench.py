@@ -16,7 +16,8 @@ import oracle  # noqa: E402
 import run  # noqa: E402
 import spans  # noqa: E402
 from oracle import Request, check  # noqa: E402
-from workloads import WORKLOADS, cli_block, separating, var_names  # noqa: E402
+from workloads import (MEDIAN_SKELETONS, WORKLOADS, cli_block, disguise,  # noqa: E402
+                       separating, skeleton, var_names)
 
 
 def theorem_request():
@@ -108,6 +109,32 @@ def test_workloads_are_seeded():
     for w in WORKLOADS.values():
         assert w.requests(3) == w.requests(3)
         assert w.requests(3) != w.requests(4)
+
+
+def test_disguise_keeps_a_theorem_and_its_shape():
+    rng = random.Random(5)
+    for schema, variant in MEDIAN_SKELETONS:
+        f = skeleton(schema, variant)
+        g = disguise(f, rng)
+        names = oracle.variables(g)
+        assert g != f and len(names) == 5
+        assert oracle.node_count(g) == oracle.node_count(f)
+        for _ in range(200):
+            val = {name: rng.randrange(8) for name in names}
+            assert oracle.dp_value(g, 8, val) == 7
+
+
+def test_excluded_middle_is_refuted_at_the_second_valuation():
+    for seed in range(5):
+        early = [req.expect[1] for req in WORKLOADS["decide"].requests(seed)
+                 if req.expect[0] == "refute" and req.expect[2] == 3]
+        assert len(early) == 1
+        names = oracle.variables(early[0])
+        top = len(names) + 2
+        val = dict.fromkeys(names, 0)
+        assert oracle.dp_value(early[0], top + 1, val) == top
+        val[names[-1]] = 1
+        assert oracle.dp_value(early[0], top + 1, val) != top
 
 
 def test_cli_block_is_answered_correctly_in_process():
