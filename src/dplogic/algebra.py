@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 from .formula import (
     Bot, Delta, Formula, Iff, Imp, Min, Neg, Or, Power, Strong, Top, Var,
-    parse, variables,
+    compile, parse, variables,
 )
 
 DEFAULT_CAP = 10**7
@@ -360,17 +360,15 @@ def axiom_instance(name: str) -> Formula | tuple[Formula, Formula]:
 
 
 def satisfies_axiom(algebra: Algebra, name: str, cap: int = DEFAULT_CAP) -> bool:
-    """Brute-force the named axiom schema over all valuations."""
+    """Brute-force the named axiom schema over all valuations.
+
+    An equation lhs = rhs is checked as lhs <-> rhs, which is top on an
+    MTL-chain, and pointwise on a product of chains, iff lhs = rhs.
+    """
     inst = axiom_instance(name)
-    if isinstance(inst, Formula):
-        return holds(inst, algebra, cap).ok
-    lhs, rhs = inst
-    names = variables(lhs)
-    for combo in itertools.product(list(algebra.elements()), repeat=len(names)):
-        v = dict(zip(names, combo))
-        if evaluate(lhs, algebra, v) != evaluate(rhs, algebra, v):
-            return False
-    return True
+    if not isinstance(inst, Formula):
+        inst = Iff(*inst)
+    return holds(inst, algebra, cap).ok
 
 
 # the five projection axioms; they pin D down as the top-detector
@@ -587,26 +585,104 @@ def enumerate_homomorphisms(src: Algebra, dst: Algebra,
     return found
 
 
+def _exact_points(v: list, k: int, size: int):
+    """Write each exact valuation of k variables on the size-chain into
+    v[2:2+k], in lexicographic order, and yield after each one.
+
+    Exact means that the values generate the whole chain: any values on
+    the 2-chain; the coatom among them on the 3-chain; every rank strictly
+    between 0 and the coatom among them on a longer chain (the coatom is
+    then a negation).  Prefixes that leave too few variables for the ranks
+    still missing are cut, so no inexact valuation is ever visited.
+    """
+    need = size - 3 if size > 3 else size - 2  # ranks 1..need must occur
+    uses = [0] * size
+
+    def fill(i: int, missing: int):
+        room = k - 1 - i  # variables after this one
+        for x in range(size):
+            left = missing - (0 < x <= need and not uses[x])
+            if left > room:
+                continue
+            v[2 + i] = x
+            if room:
+                uses[x] += 1
+                yield from fill(i + 1, left)
+                uses[x] -= 1
+            else:
+                yield
+
+    if k:
+        yield from fill(0, need)
+    elif not need:
+        yield
+
+
 def is_theorem(f: Formula, cap: int = DEFAULT_CAP) -> Verdict:
-    """Decide DP theoremhood by sweeping one chain of size k+3.
+    """Decide DP theoremhood on the exact valuations of C_2, ..., C_{k+3}.
 
     The subalgebra generated by k elements of any DP-chain consists of the
-    generators plus at most 0, the coatom and the top, so it has at most
-    k+3 elements, and every smaller DP-chain embeds into the (k+3)-chain.
-    A formula in k variables is therefore valid on all DP-chains iff it is
-    valid on that single chain (size 2 when k = 0).
+    generators plus at most 0, the coatom and the top, so it is a DP-chain
+    of at most k+3 elements, and every refuting valuation is the image,
+    under an order-preserving embedding, of an exact refuting valuation
+    (one whose values generate their chain) on that smaller chain.  A
+    formula in k variables is therefore valid on all DP-chains iff no
+    exact valuation on a chain of size 2..k+3 refutes it.  The exact
+    valuations on C_s are counted by the multiplicity of the (s-1)-chain
+    in the dual of the free k-generated algebra, so the sweep visits the
+    dual's instance count of points at most (4, 18, 94, 582, 4294 and
+    37 398 for k = 1..6, against (k+3)^k); that count is what the cap
+    bounds, and it is checked before the first evaluation.
+
+    Chains are swept smallest first and valuations in lexicographic
+    order.  Embeddings preserve that order, so the first refutation found
+    is the lexicographically first countermodel on the smallest refuting
+    chain.  Each point runs one loop over the compiled node array with
+    the chain's operation tables.
     """
-    k = len(variables(f))
-    size = k + 3 if k >= 1 else 2
-    verdict = holds(f, DPChain(size), cap)
-    if verdict.ok:
-        return verdict
-    # refuted; report the countermodel on the smallest refuting chain
-    for n in range(2, size):
-        smaller = holds(f, DPChain(n), cap)
-        if not smaller.ok:
-            return smaller
-    return verdict
+    from .duality import free_coefficient  # duality imports this module
+
+    program = compile(f)
+    k = len(program.names)
+    sizes = range(2, k + 4)
+    points = sum(free_coefficient(k, s - 1) for s in sizes)
+    if points > cap:
+        raise CapExceeded(f"{points} valuations exceed the cap of {cap}")
+    # slots of the value array: 0 and 1 hold the constants, 2..k+1 the
+    # variables and the rest one operation node each
+    slot: list[int] = []
+    code: list[tuple[str, int, int, int]] = []
+    for op, a, b in program.nodes:
+        if op == "var":
+            slot.append(2 + a)
+        elif op in ("0", "1"):
+            slot.append(int(op))
+        else:
+            out = 2 + k + len(code)
+            if op == "~":
+                code.append(("->", slot[a], 0, out))
+            elif op == "D":
+                code.append(("&", slot[a], slot[a], out))
+            else:
+                code.append((op, slot[a], slot[b], out))
+            slot.append(out)
+    root = slot[-1]
+    for size in sizes:
+        chain = DPChain(size)
+        top = chain.top
+        tables = {op: tuple(tuple(fn(x, y) for y in chain.elements())
+                            for x in chain.elements())
+                  for op, fn in (("&", chain.prod), ("->", chain.imp),
+                                 ("/\\", chain.meet), ("\\/", chain.join))}
+        ops = [(tables[op], a, b, out) for op, a, b, out in code]
+        v = [0, top] + [0] * (k + len(ops))
+        for _ in _exact_points(v, k, size):
+            for table, a, b, out in ops:
+                v[out] = table[v[a]][v[b]]
+            if v[root] != top:
+                return Verdict(False, chain, dict(zip(program.names, v[2:2 + k])),
+                               v[root])
+    return Verdict(True)
 
 
 def is_theorem_in_variety(f: Formula, n: int, cap: int = DEFAULT_CAP) -> Verdict:

@@ -1,8 +1,8 @@
 """Command-line front end: the `dp` tool.
 
-Exit codes: 0 for theorems and successful commands, 1 for non-theorems
-and failed check suites, 2 for usage or parse errors, 3 when a
-computation would exceed its cap.
+Exit codes: 0 for theorems and successful commands, 1 for non-theorems,
+failed check suites and disagreeing free-algebra routes, 2 for usage or
+parse errors, 3 when a computation would exceed its cap.
 """
 
 from __future__ import annotations
@@ -69,6 +69,11 @@ def cmd_thm(args) -> int:
     return EXIT_FAIL
 
 
+def _route_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_FAIL
+
+
 def cmd_free(args) -> int:
     k = args.k
     payload: dict = {"status": "ok", "k": k, "mode": args.mode}
@@ -79,10 +84,10 @@ def cmd_free(args) -> int:
     if args.mode in ("power", "all"):
         by_power = du.free_dual(k)
         if dual is not None and by_power != dual:
-            raise AssertionError("closed form and power disagree")
+            return _route_error("closed form and power disagree")
         dual = by_power
     if args.mode == "all" and dual != du.free_dual_recurrence(k):
-        raise AssertionError("recurrence disagrees")
+        return _route_error("recurrence disagrees")
     payload["dual"] = du.multiset_to_json(dual)
     payload["coefficients"] = {str(l): m for l, m in dual.chains}
     cardinality = du.free_cardinality(k)
@@ -95,7 +100,7 @@ def cmd_free(args) -> int:
             payload["oracle_count"] = oracle
             lines.append(f"brute-force term count {oracle}")
             if oracle != cardinality:
-                raise AssertionError("brute force disagrees with cardinality")
+                return _route_error("brute force disagrees with cardinality")
         else:
             lines.append("brute-force oracle skipped (needs k <= 1)")
     _emit(args, payload, "\n".join(lines))

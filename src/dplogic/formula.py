@@ -338,6 +338,93 @@ def variables(f: Formula) -> list[str]:
     return list(seen)
 
 
+@dataclass(frozen=True)
+class Compiled:
+    """A formula as a hash-consed node array in post-order.
+
+    Each node is a triple (op, a, b).  op is one of the primitives "var",
+    "0", "1", "&", "/\\", "\\/", "->", "~" and "D"; for "var", a indexes
+    names, otherwise a and b index earlier nodes (0 where unused).  Equal
+    subformulas share one node, and the root is the last node.
+    """
+
+    names: tuple[str, ...]
+    nodes: tuple[tuple[str, int, int], ...]
+
+
+_PRIMITIVE = {**_BINARY, Neg: "~", Delta: "D"}
+
+
+def _children(f: Formula) -> tuple[Formula, ...]:
+    if isinstance(f, (Strong, Min, Imp, Or, Iff)):
+        return (f.lhs, f.rhs)
+    if isinstance(f, (Neg, Delta, Power)):
+        return (f.arg,)
+    if isinstance(f, (Var, Bot, Top)):
+        return ()
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def compile(f: Formula) -> Compiled:
+    """Lower f to primitive nodes with an explicit stack (no recursion).
+
+    a <-> b becomes (a -> b) & (b -> a) over the shared nodes of a and b,
+    x^n becomes a product of n copies of x and x^0 becomes 1.  names
+    lists the variables in first-occurrence order, as variables() does,
+    including those that occur only under a zeroth power.
+    """
+    names: dict[str, int] = {}
+    # (op, a, b) -> node id; insertion order is the node array
+    ids: dict[tuple[str, int, int], int] = {}
+
+    def node(op: str, a: int = 0, b: int = 0) -> int:
+        return ids.setdefault((op, a, b), len(ids))
+
+    done: list[int] = []  # node ids of the finished subformulas
+    # ready: False on the way down, True once the children are done, None
+    # under a zeroth power, where only the variable order is recorded
+    stack: list[tuple[Formula, bool | None]] = [(f, False)]
+    while stack:
+        g, ready = stack.pop()
+        if isinstance(g, Var):
+            i = names.setdefault(g.name, len(names))
+            if ready is not None:
+                done.append(node("var", i))
+        elif ready is None:
+            stack.extend((c, None) for c in reversed(_children(g)))
+        elif isinstance(g, Bot):
+            done.append(node("0"))
+        elif isinstance(g, Top):
+            done.append(node("1"))
+        elif isinstance(g, Power) and g.n == 0:
+            done.append(node("1"))
+            stack.append((g.arg, None))
+        elif not ready:
+            stack.append((g, True))
+            stack.extend((c, False) for c in reversed(_children(g)))
+        elif isinstance(g, Power):
+            # by squaring: & is associative and commutative, and shared
+            # squares keep x^n at O(log n) nodes
+            x, n, acc = done.pop(), g.n, None
+            while n:
+                if n & 1:
+                    acc = x if acc is None else node("&", acc, x)
+                n >>= 1
+                if n:
+                    x = node("&", x, x)
+            done.append(acc)
+        elif isinstance(g, (Neg, Delta)):
+            done.append(node(_PRIMITIVE[type(g)], done.pop()))
+        else:
+            b = done.pop()
+            a = done.pop()
+            if isinstance(g, Iff):
+                done.append(node("&", node("->", a, b), node("->", b, a)))
+            else:
+                done.append(node(_PRIMITIVE[type(g)], a, b))
+    return Compiled(tuple(names), tuple(ids))
+
+
 def expand_derived(f: Formula) -> Formula:
     """Rewrite to the primitive fragment {Var, Bot, Strong, Min, Imp}.
 

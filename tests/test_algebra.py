@@ -232,6 +232,15 @@ def test_ncontract():
     assert satisfies_axiom(godel_chain(5), "ncontract(2)")
 
 
+def test_ncontract_equation_respects_the_cap():
+    # x^3 = x^2 is checked through holds: 5 points on the 5-chain
+    assert satisfies_axiom(DPChain(5), "ncontract(3)", cap=5)
+    with pytest.raises(CapExceeded):
+        satisfies_axiom(DPChain(5), "ncontract(3)", cap=4)
+    with pytest.raises(CapExceeded):
+        satisfies_axiom(ProductAlgebra([3, 4]), "ncontract(2)", cap=11)
+
+
 def test_axiom_name_validation():
     with pytest.raises(ValueError):
         axiom_instance("nope")
@@ -393,6 +402,74 @@ def test_is_theorem_examples():
     assert not verdict.ok
     assert verdict.algebra.size == 3
     assert verdict.valuation == {"x": 1}
+
+
+def minimal_countermodel_by_holds(f):
+    """The decision procedure as one full sweep of C_{k+3} followed by a
+    search of C_2, C_3, ... for the smallest refuting chain."""
+    k = len(variables(f))
+    size = k + 3 if k else 2
+    verdict = holds(f, DPChain(size))
+    if verdict.ok:
+        return verdict
+    for n in range(2, size):
+        smaller = holds(f, DPChain(n))
+        if not smaller.ok:
+            return smaller
+    return verdict
+
+
+def test_is_theorem_matches_minimal_countermodel_by_holds():
+    from test_formula import random_formula
+    rng = random.Random(60311)
+    formulas = [random_formula(rng, rng.randrange(1, 8)) for _ in range(1200)]
+    formulas += [separating_formula(n) for n in range(2, 6)]
+    formulas += [parse(t) for t in ("x \\/ ~x", "1", "0")]
+    refuted = 0
+    for f in formulas:
+        fast = is_theorem(f)
+        slow = minimal_countermodel_by_holds(f)
+        assert (fast.ok, fast.algebra, fast.valuation, fast.value) == (
+            slow.ok, slow.algebra, slow.valuation, slow.value), str(f)
+        refuted += not fast.ok
+    # both outcomes are well represented
+    assert 200 < refuted < len(formulas) - 200
+
+
+def test_exact_valuations_generate_their_chain_in_lexicographic_order():
+    from dplogic.algebra import _closure, _exact_points
+    for k in range(0, 5):
+        for size in range(2, k + 4):
+            chain = DPChain(size)
+            want = [p for p in itertools.product(range(size), repeat=k)
+                    if len(_closure(chain, p)) == size]
+            v = [0, chain.top] + [0] * k
+            got = [tuple(v[2:2 + k]) for _ in _exact_points(v, k, size)]
+            assert got == want, (k, size)
+
+
+def test_exact_valuations_count_the_free_dual_instances():
+    from dplogic import free_dual
+    from dplogic.algebra import _exact_points
+    counts = []
+    for k in range(1, 7):
+        total = 0
+        for size in range(2, k + 4):
+            v = [0, size - 1] + [0] * k
+            total += sum(1 for _ in _exact_points(v, k, size))
+        assert total == free_dual(k).instance_count()
+        counts.append(total)
+    assert counts == [4, 18, 94, 582, 4294, 37398]
+
+
+def test_is_theorem_cap_counts_exact_valuations():
+    f = parse("x & y -> y & x")
+    with pytest.raises(CapExceeded):
+        is_theorem(f, cap=17)
+    assert is_theorem(f, cap=18).ok
+    # a refutation is found early but the cap is still checked up front
+    with pytest.raises(CapExceeded):
+        is_theorem(parse("x \\/ ~x \\/ y"), cap=17)
 
 
 def test_is_theorem_in_variety():

@@ -85,6 +85,16 @@ def test_free_two_cross_checks_modes(capsys):
     assert payload["cardinality"] == "1592524800"
 
 
+def test_free_route_disagreement_exits_one(capsys, monkeypatch):
+    from dplogic import duality
+    monkeypatch.setattr(duality, "free_dual_recurrence",
+                        lambda k: MultisetObj.from_lengths([1]))
+    code, out, err = run(capsys, "free", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "recurrence disagrees" in err
+
+
 def test_free_cap_exits_three(capsys):
     code, _, err = run(capsys, "free", "13")
     assert code == 3

@@ -11,6 +11,7 @@ from dplogic import (
     expand_derived, parse, variables,
 )
 from dplogic.algebra import DPChain, enumerate_mtl_chains, evaluate
+from dplogic.formula import compile
 
 
 def test_parse_atoms():
@@ -185,3 +186,48 @@ def test_power_matches_iterated_strong():
             for a in chain.elements():
                 assert (evaluate(f, chain, {"x": a})
                         == evaluate(unfolded, chain, {"x": a}))
+
+
+def test_compile_shares_equal_subformulas():
+    prog = compile(parse("(x & y) \\/ ~(x & y)"))
+    assert prog.names == ("x", "y")
+    assert prog.nodes == (("var", 0, 0), ("var", 1, 0), ("&", 0, 1),
+                          ("~", 2, 0), ("\\/", 2, 3))
+
+
+def test_compile_lowers_derived_connectives():
+    assert compile(parse("x <-> y")).nodes == (
+        ("var", 0, 0), ("var", 1, 0), ("->", 0, 1), ("->", 1, 0), ("&", 2, 3))
+    # x^3 = x & x^2 and x^4 = x^2 & x^2 share the square
+    assert compile(parse("x^3 \\/ x^4")).nodes == (
+        ("var", 0, 0), ("&", 0, 0), ("&", 0, 1), ("&", 1, 1), ("\\/", 2, 3))
+    assert len(compile(parse("x^123456789")).nodes) < 60
+    assert compile(parse("D x -> 0")).nodes == (
+        ("var", 0, 0), ("D", 0, 0), ("0", 0, 0), ("->", 1, 2))
+
+
+def test_compile_zeroth_power_is_one_but_keeps_its_variables():
+    prog = compile(parse("y^0 & (x -> y)^0 & z"))
+    assert prog.names == ("y", "x", "z")
+    assert prog.nodes == (("1", 0, 0), ("&", 0, 0), ("var", 2, 0), ("&", 1, 2))
+
+
+def test_compile_names_match_variables_and_nodes_come_in_post_order():
+    rng = random.Random(7301)
+    for _ in range(300):
+        f = random_formula(rng, rng.randrange(1, 9))
+        prog = compile(f)
+        assert list(prog.names) == variables(f)
+        assert len(set(prog.nodes)) == len(prog.nodes)
+        for i, (op, a, b) in enumerate(prog.nodes):
+            if op not in ("var", "0", "1"):
+                assert a < i and b < i
+
+
+def test_compile_needs_no_recursion():
+    f = Var("x")
+    for _ in range(20000):
+        f = Neg(f)
+    prog = compile(f)
+    assert len(prog.nodes) == 20001
+    assert prog.nodes[-1] == ("~", 19999, 0)
