@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from functools import reduce
-from typing import Iterable, Mapping
 
 from .formula import (
-    Bot, Delta, Formula, Iff, Imp, Min, Neg, Or, Power, Strong, Top, Var,
-    compile, parse, variables,
+    Bot, Compiled, Delta, Formula, Iff, Imp, Min, Neg, Or, Power, Record, Strong,
+    Top, Var, _children, compile, parse,
 )
+from .formula import variables  # noqa: F401  (callers read algebra.variables)
 
 DEFAULT_CAP = 10**7
 
@@ -38,10 +38,10 @@ class EvaluationError(ValueError):
     """Unbound variable, or the projection D applied outside a DP algebra."""
 
 
-@dataclass(frozen=True)
-class DPChain:
+class DPChain(Record):
     """The n-element drastic-product chain (n >= 2)."""
 
+    __slots__ = ("size",)
     size: int
 
     def __post_init__(self):
@@ -290,31 +290,88 @@ def evaluate(f: Formula, algebra: Algebra, valuation: Valuation):
     raise TypeError(f"not a formula: {f!r}")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of a validity sweep; carries a countermodel on failure."""
 
+    __slots__ = ("ok", "algebra", "valuation", "value")
+    _defaults = {"algebra": None, "valuation": None, "value": None}
     ok: bool
-    algebra: Algebra | None = None
-    valuation: dict | None = None
-    value: object | None = None
+    algebra: Algebra | None
+    valuation: dict | None
+    value: object | None
 
     def __bool__(self) -> bool:
         return self.ok
 
 
+def _lower(program: Compiled) -> tuple[list[tuple[str, int, int, int]], int]:
+    """Three-address code (op, a, b, out) over a value array, and the slot
+    of the root.
+
+    Slot 0 holds the bottom, slot 1 the top, slots 2..k+1 the k variables
+    and each later slot one operation node; op is "&", "->", "/\\" or
+    "\\/", with ~x as x -> 0 and D x as x & x.
+    """
+    k = len(program.names)
+    slot: list[int] = []
+    code: list[tuple[str, int, int, int]] = []
+    for op, a, b in program.nodes:
+        if op == "var":
+            slot.append(2 + a)
+        elif op in ("0", "1"):
+            slot.append(int(op))
+        else:
+            out = 2 + k + len(code)
+            if op == "~":
+                code.append(("->", slot[a], 0, out))
+            elif op == "D":
+                code.append(("&", slot[a], slot[a], out))
+            else:
+                code.append((op, slot[a], slot[b], out))
+            slot.append(out)
+    return code, slot[-1]
+
+
+def _mentions_delta(f: Formula) -> bool:
+    # under a zeroth power too, where compile drops it but evaluate does not
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Delta):
+            return True
+        stack.extend(_children(g))
+    return False
+
+
 def holds(f: Formula, algebra: Algebra, cap: int = DEFAULT_CAP) -> Verdict:
-    """Sweep all valuations; true iff f evaluates to top on every one."""
-    names = variables(f)
+    """Sweep all valuations; true iff f evaluates to top on every one.
+
+    Valuations come in itertools.product order over the variables in
+    first-occurrence order; the first one whose value is not the top is
+    returned as the countermodel.  Each point is one loop over the
+    compiled formula with the algebra's operations, as evaluate would
+    compute it.
+    """
+    program = compile(f)
+    names = program.names
     universe = list(algebra.elements())
     points = len(universe) ** len(names)
     if points > cap:
         raise CapExceeded(f"{points} valuations exceed the cap of {cap}")
+    if not algebra.supports_delta and _mentions_delta(f):
+        raise EvaluationError("D is only defined on DP algebras")
+    ops = {"&": algebra.prod, "->": algebra.imp,
+           "/\\": algebra.meet, "\\/": algebra.join}
+    code, root = _lower(program)
+    code = [(ops[op], a, b, out) for op, a, b, out in code]
+    top = algebra.top
+    v = [algebra.bot, top] + [None] * (len(names) + len(code))
     for combo in itertools.product(universe, repeat=len(names)):
-        v = dict(zip(names, combo))
-        value = evaluate(f, algebra, v)
-        if value != algebra.top:
-            return Verdict(False, algebra, v, value)
+        v[2:2 + len(names)] = combo
+        for fn, a, b, out in code:
+            v[out] = fn(v[a], v[b])
+        if v[root] != top:
+            return Verdict(False, algebra, dict(zip(names, combo)), v[root])
     return Verdict(True)
 
 
@@ -648,25 +705,7 @@ def is_theorem(f: Formula, cap: int = DEFAULT_CAP) -> Verdict:
     points = sum(free_coefficient(k, s - 1) for s in sizes)
     if points > cap:
         raise CapExceeded(f"{points} valuations exceed the cap of {cap}")
-    # slots of the value array: 0 and 1 hold the constants, 2..k+1 the
-    # variables and the rest one operation node each
-    slot: list[int] = []
-    code: list[tuple[str, int, int, int]] = []
-    for op, a, b in program.nodes:
-        if op == "var":
-            slot.append(2 + a)
-        elif op in ("0", "1"):
-            slot.append(int(op))
-        else:
-            out = 2 + k + len(code)
-            if op == "~":
-                code.append(("->", slot[a], 0, out))
-            elif op == "D":
-                code.append(("&", slot[a], slot[a], out))
-            else:
-                code.append((op, slot[a], slot[b], out))
-            slot.append(out)
-    root = slot[-1]
+    code, root = _lower(program)
     for size in sizes:
         chain = DPChain(size)
         top = chain.top
@@ -712,10 +751,10 @@ def subvariety_index(algebra: ProductAlgebra | DPChain) -> int:
     return max(f.size for f in algebra.factors)
 
 
-@dataclass(frozen=True)
-class FreeAlgebraTable:
+class FreeAlgebraTable(Record):
     """Term functions of the free algebra, tabulated pointwise."""
 
+    __slots__ = ("generators", "chain_size", "functions")
     generators: int
     chain_size: int
     functions: tuple[tuple[int, ...], ...]

@@ -14,7 +14,6 @@ import sys
 
 from . import algebra as alg
 from . import duality as du
-from . import suites
 from .formula import ParseError, parse
 
 EXIT_OK = 0
@@ -165,6 +164,7 @@ def cmd_chains(args) -> int:
     if args.cls == "wnm":
         chains = [c for c in chains if alg.satisfies_axiom(c, "wnm")]
     elif args.cls == "rdp":
+        from . import suites  # loads random; only check and rdp need it
         chains = [c for c in chains if suites.rdp_class(c)]
     elif args.cls == "dp":
         chains = [c for c in chains if alg.is_dp_chain(c)]
@@ -180,6 +180,7 @@ def cmd_chains(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import suites
     rows = suites.run_suite(args.suite)
     ok = all(r[1] for r in rows)
     payload = {"status": "ok" if ok else "error",
@@ -195,34 +196,62 @@ def cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+def _terminal_columns() -> int:
+    """shutil.get_terminal_size().columns: $COLUMNS if it is a positive
+    integer, else the width of the terminal on stdout, else 80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return columns or 80
+
+
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help formatter, with its default width taken the way
+    shutil takes it but without importing shutil (and the compression
+    modules shutil loads) each time a parser is built."""
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24,
+                 width=None, **kwargs):
+        if width is None:
+            width = _terminal_columns() - 2
+        super().__init__(prog, indent_increment, max_help_position, width, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="dp",
+        prog="dp", formatter_class=_Formatter,
         description="theoremhood, axiom analysis and duality for "
                     "drastic-product logic")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, formatter_class=_Formatter)
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
     common.add_argument("--cap", type=int, default=alg.DEFAULT_CAP,
                         help="maximum evaluated points per sweep")
+    shared = {"parents": [common], "formatter_class": _Formatter}
 
-    p = sub.add_parser("thm", parents=[common],
+    p = sub.add_parser("thm", **shared,
                        help="decide theoremhood (use - to read stdin)")
     p.add_argument("formula")
     p.add_argument("--variety", type=int, default=None, metavar="N",
                    help="restrict to the variety of the N-element chain")
     p.set_defaults(handler=cmd_thm)
 
-    p = sub.add_parser("free", parents=[common],
+    p = sub.add_parser("free", **shared,
                        help="free finitely generated algebra report")
     p.add_argument("k", type=int)
     p.add_argument("--mode", choices=("closed", "power", "oracle", "all"),
                    default="all")
     p.set_defaults(handler=cmd_free)
 
-    p = sub.add_parser("dual", parents=[common],
+    p = sub.add_parser("dual", **shared,
                        help="multiset-of-chains computations")
     p.add_argument("op", choices=("product", "coproduct", "power",
                                   "homcount", "inverse"))
@@ -231,14 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "JSON, or an integer exponent for power")
     p.set_defaults(handler=cmd_dual)
 
-    p = sub.add_parser("chains", parents=[common],
+    p = sub.add_parser("chains", **shared,
                        help="enumerate MTL-chain product tables")
     p.add_argument("n", type=int)
     p.add_argument("--class", dest="cls",
                    choices=("mtl", "wnm", "rdp", "dp"), default="mtl")
     p.set_defaults(handler=cmd_chains)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", **shared,
                        help="run the self-check suites")
     p.add_argument("suite", choices=("axioms", "duality", "free", "all"))
     p.set_defaults(handler=cmd_check)

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from functools import cache
-from typing import Iterable, Mapping
 
 from .algebra import CapExceeded, ProductAlgebra
+from .formula import Record
 
 POWER_INSTANCE_CAP = 10**6
 
@@ -31,11 +31,12 @@ ENUM_LENGTH_CAP = 8
 FREE_CARDINALITY_CAP = 12
 
 
-@dataclass(frozen=True)
-class MultisetObj:
+class MultisetObj(Record):
     """A finite multiset of finite chains, keyed by chain length."""
 
-    chains: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("chains",)
+    _defaults = {"chains": ()}
+    chains: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         merged: dict[int, int] = {}
@@ -196,14 +197,14 @@ def monotone_surjections(a: int, b: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class MCMorphism:
+class MCMorphism(Record):
     """A family of component surjections, one per source chain instance.
 
     components[i] = (j, map) sends the i-th source instance (in canonical
     expanded order) onto the j-th target instance via the given rank map.
     """
 
+    __slots__ = ("source", "target", "components")
     source: MultisetObj
     target: MultisetObj
     components: tuple[tuple[int, tuple[int, ...]], ...]

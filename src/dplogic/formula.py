@@ -25,76 +25,181 @@ input but never produced by the printer.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
+
+_setattr = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Formula:
+def _record_methods(cls, fields: tuple[str, ...]):
+    """__init__, __eq__ and __hash__ for a record class, as closures over
+    its fields, so that they cost about what the code @dataclass compiles
+    for each class costs; one- and two-field records, the common ones,
+    set their fields without a loop."""
+    n = len(fields)
+    post = None if cls.__post_init__ is Record.__post_init__ else cls.__post_init__
+    if n == 1:
+        (a,) = fields
+
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != 1:
+                args = self._bind(args, kwargs)
+            _setattr(self, a, args[0])
+            if post is not None:
+                post(self)
+    elif n == 2:
+        a, b = fields
+
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != 2:
+                args = self._bind(args, kwargs)
+            _setattr(self, a, args[0])
+            _setattr(self, b, args[1])
+            if post is not None:
+                post(self)
+    else:
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != n:
+                args = self._bind(args, kwargs)
+            for name, value in zip(fields, args):
+                _setattr(self, name, value)
+            if post is not None:
+                post(self)
+
+    # the field values: a tuple, or the bare value of a single field
+    key = attrgetter(*fields) if fields else type
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    if n == 1:
+        def __hash__(self):
+            return hash((key(self),))
+    elif n:
+        def __hash__(self):
+            return hash(key(self))
+    else:
+        def __hash__(self):
+            return hash(())
+
+    return __init__, __eq__, __hash__
+
+
+class Record:
+    """Immutable value type over the fields named in ``__slots__``.
+
+    A subclass names its fields in ``__slots__`` (a tuple) and may give
+    trailing defaults in ``_defaults``.  Instances are built by position
+    or keyword and then checked or normalised by ``__post_init__``; they
+    equal only instances of the same class with equal fields, hash like
+    the tuple of their fields, print as ``Name(field=value, ...)`` and
+    refuse assignment.  That is what ``@dataclass(frozen=True)`` gives,
+    without compiling code for every class at import time.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = cls._fields + cls.__dict__["__slots__"]
+        cls.__match_args__ = fields
+        cls.__init__, cls.__eq__, cls.__hash__ = _record_methods(cls, fields)
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        fields, name = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments "
+                            f"but {len(args)} were given")
+        values = list(args)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in self._defaults:
+                values.append(self._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        if kwargs:
+            raise TypeError(f"{name}() got an unexpected or repeated "
+                            f"argument {next(iter(kwargs))!r}")
+        return values
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __repr__(self) -> str:
+        # a loop, not a generator: nested records repr recursively, and a
+        # generator frame per level would halve the depth that prints
+        parts = []
+        for name in self._fields:
+            parts.append(f"{name}={getattr(self, name)!r}")
+        return f"{type(self).__qualname__}({', '.join(parts)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: slots have no __dict__
+        # to restore and assignment is refused
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class Formula(Record):
     """Base class for AST nodes; instances are immutable and hashable."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True)
 class Var(Formula):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Bot(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Strong(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Min(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Imp(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Neg(Formula):
-    arg: Formula
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Iff(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Delta(Formula):
-    arg: Formula
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class Power(Formula):
-    arg: Formula
-    n: int
+    __slots__ = ("arg", "n")
 
     def __post_init__(self):
         if self.n < 0:
@@ -126,23 +231,20 @@ _TOKEN_RE = re.compile(
       | (?P<num>\d+)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<punct>[&~^()])
+      | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Lex into (kind, text, position) triples; kind is one of
     iff/imp/or/and/num/ident/delta/&/~/^/(/)."""
-    for alias, ascii_form in _ALIASES.items():
-        text = text.replace(alias, " %s " % ascii_form)
+    if not text.isascii():
+        for alias, ascii_form in _ALIASES.items():
+            text = text.replace(alias, " %s " % ascii_form)
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "ws":
             continue
@@ -151,125 +253,118 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             kind = val
         elif kind == "ident" and val == "D":
             kind = "delta"
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {val!r}", m.start())
         tokens.append((kind, val, m.start()))
     return tokens
 
 
-class _Parser:
-    """Recursive-descent parser following the module grammar."""
+# binding strength; tighter binds have larger values
+_IFF, _IMP, _OR, _AND, _STRONG, _UNARY, _POSTFIX, _ATOM = range(8)
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+# the deepest formula parse() builds, in levels of the AST.  parse,
+# compile, render and the sweeps in algebra use explicit stacks, so `dp`
+# answers every formula within it; evaluate, expand_derived, ==, hash and
+# repr recurse per level and meet the interpreter's recursion limit (1000
+# frames by default) a few hundred levels down, and input deeper than
+# this is refused before it reaches them.
+MAX_DEPTH = 1000
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+# infix token kinds: (node class, binding strength); -> alone is right
+# associative
+_INFIX = {"iff": (Iff, _IFF), "imp": (Imp, _IMP), "or": (Or, _OR),
+          "and": (Min, _AND), "&": (Strong, _STRONG)}
 
-    def here(self) -> int:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][2]
-        return len(self.text)
+_PREFIX = {"~": Neg, "delta": Delta}
 
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, expected: set[str]):
-        kind = self.peek()
-        what = "end of input" if kind is None else f"{self.tokens[self.pos][1]!r}"
-        raise ParseError(f"unexpected {what}", self.here(), expected)
-
-    def expect(self, kind: str):
-        if self.peek() != kind:
-            self.fail({kind})
-        return self.take()
-
-    def formula(self) -> Formula:
-        f = self.imp()
-        while self.peek() == "iff":
-            self.take()
-            f = Iff(f, self.imp())
-        return f
-
-    def imp(self) -> Formula:
-        f = self.disj()
-        if self.peek() == "imp":
-            self.take()
-            return Imp(f, self.imp())
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek() == "or":
-            self.take()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.strong()
-        while self.peek() == "and":
-            self.take()
-            f = Min(f, self.strong())
-        return f
-
-    def strong(self) -> Formula:
-        f = self.unary()
-        while self.peek() == "&":
-            self.take()
-            f = Strong(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        if self.peek() == "~":
-            self.take()
-            return Neg(self.unary())
-        if self.peek() == "delta":
-            self.take()
-            return Delta(self.unary())
-        return self.postfix()
-
-    def postfix(self) -> Formula:
-        f = self.atom()
-        if self.peek() == "^":
-            self.take()
-            if self.peek() != "num":
-                self.fail({"<nat>"})
-            _, val, _ = self.take()
-            f = Power(f, int(val))
-        return f
-
-    def atom(self) -> Formula:
-        kind = self.peek()
-        if kind == "ident":
-            return Var(self.take()[1])
-        if kind == "num":
-            _, val, pos = self.take()
-            if val == "0":
-                return Bot()
-            if val == "1":
-                return Top()
-            raise ParseError(f"numeral {val!r} is not a formula", pos, {"0", "1"})
-        if kind == "(":
-            self.take()
-            f = self.formula()
-            self.expect(")")
-            return f
-        self.fail({"<ident>", "0", "1", "(", "~", "D"})
+_OPEN = -1  # binding strength that marks an open parenthesis
 
 
 def parse(text: str) -> Formula:
-    """Parse concrete syntax into an AST; raises ParseError on bad input."""
-    p = _Parser(text)
-    f = p.formula()
-    if p.peek() is not None:
-        p.fail({"<end of input>"})
-    return f
+    """Parse concrete syntax into an AST; raises ParseError on bad input.
 
+    Operator-precedence parsing on explicit stacks, so nesting costs no
+    recursion; a formula nested deeper than MAX_DEPTH levels is refused.
+    """
+    tokens = _tokenize(text)
+    tokens.append((None, "", len(text)))
+    # operators waiting for their right operand, innermost last: infix ones
+    # (their left operands are on `lefts`), prefix ones and open
+    # parentheses, as (node class, binding strength, position)
+    pending: list[tuple[type | None, int, int]] = []
+    lefts: list[tuple[Formula, int]] = []  # (operand, its depth)
+    i = 0
 
-# binding strength used by the printer; tighter binds have larger values
-_IFF, _IMP, _OR, _AND, _STRONG, _UNARY, _POSTFIX, _ATOM = range(8)
+    def fail(expected: set[str]):
+        kind, val, pos = tokens[i]
+        what = "end of input" if kind is None else repr(val)
+        raise ParseError(f"unexpected {what}", pos, expected)
+
+    def deeper(depth: int, pos: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", pos)
+        return depth
+
+    def fold(f: Formula, depth: int, level: int) -> tuple[Formula, int]:
+        # apply the pending infix operators that bind tighter than level,
+        # or as tightly unless level is the right-associative ->
+        while pending and (pending[-1][1] > level or pending[-1][1] == level != _IMP):
+            cls, _, pos = pending.pop()
+            left, left_depth = lefts.pop()
+            f, depth = cls(left, f), deeper(max(left_depth, depth) + 1, pos)
+        return f, depth
+
+    while True:
+        kind, val, pos = tokens[i]
+        while kind in _PREFIX or kind == "(":
+            pending.append((_PREFIX.get(kind), _UNARY if kind in _PREFIX else _OPEN, pos))
+            i += 1
+            kind, val, pos = tokens[i]
+        if kind == "ident":
+            f = Var(val)
+        elif kind == "num":
+            if val not in ("0", "1"):
+                raise ParseError(f"numeral {val!r} is not a formula", pos, {"0", "1"})
+            f = Top() if val == "1" else Bot()
+        else:
+            fail({"<ident>", "0", "1", "(", "~", "D"})
+        i += 1
+        depth = 1
+        # an atom or a closed parenthesis takes one power, then the prefix
+        # operators in front of it
+        while True:
+            kind, val, pos = tokens[i]
+            if kind == "^":
+                i += 1
+                if tokens[i][0] != "num":
+                    fail({"<nat>"})
+                f, depth = Power(f, int(tokens[i][1])), deeper(depth + 1, pos)
+                i += 1
+                kind, val, pos = tokens[i]
+            while pending and pending[-1][1] == _UNARY:
+                cls, _, op_pos = pending.pop()
+                f, depth = cls(f), deeper(depth + 1, op_pos)
+            if kind != ")":
+                break
+            f, depth = fold(f, depth, _IFF)
+            if not pending:
+                break
+            pending.pop()
+            i += 1
+        if kind in _INFIX:
+            cls, level = _INFIX[kind]
+            f, depth = fold(f, depth, level)
+            pending.append((cls, level, pos))
+            lefts.append((f, depth))
+            i += 1
+            continue
+        f, depth = fold(f, depth, _IFF)
+        if pending:
+            fail({")"})
+        if kind is not None:
+            fail({"<end of input>"})
+        return f
+
 
 _LEVEL = {
     Iff: _IFF, Imp: _IMP, Or: _OR, Min: _AND, Strong: _STRONG,
@@ -281,42 +376,48 @@ _BINARY = {Iff: "<->", Imp: "->", Or: "\\/", Min: "/\\", Strong: "&"}
 
 
 def render(f: Formula) -> str:
-    """Print to concrete syntax; parse(render(f)) is structurally f."""
-    return _render(f, _IFF)
+    """Print to concrete syntax; parse(render(f)) is structurally f.
 
-
-def _render(f: Formula, context: int) -> str:
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Bot):
-        return "0"
-    if isinstance(f, Top):
-        return "1"
-    level = _LEVEL[type(f)]
-    if isinstance(f, (Neg, Delta)):
-        arg = f.arg
-        if isinstance(arg, (Var, Bot, Top, Neg, Delta)):
-            inner = _render(arg, _UNARY)
-            # "D" would fuse with a following identifier into one token
-            s = ("D " if isinstance(f, Delta) else "~") + inner
-        else:
-            s = ("D" if isinstance(f, Delta) else "~") + "(" + _render(arg, _IFF) + ")"
-    elif isinstance(f, Power):
-        base = f.arg
-        if isinstance(base, (Var, Bot, Top)):
-            s = f"{_render(base, _ATOM)}^{f.n}"
-        else:
-            s = f"({_render(base, _IFF)})^{f.n}"
-    else:
-        op = _BINARY[type(f)]
-        if isinstance(f, Imp):
+    Works on an explicit stack of pending text and (subformula, context)
+    pairs, so any depth prints; a subformula binding looser than its
+    context is parenthesized.
+    """
+    out: list[str] = []
+    stack: list = [(f, _IFF)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        g, context = item
+        if isinstance(g, Var):
+            out.append(g.name)
+            continue
+        if isinstance(g, (Bot, Top)):
+            out.append("0" if isinstance(g, Bot) else "1")
+            continue
+        level = _LEVEL[type(g)]
+        if isinstance(g, (Neg, Delta)):
+            op = "D" if isinstance(g, Delta) else "~"
+            if isinstance(g.arg, (Var, Bot, Top, Neg, Delta)):
+                # "D" would fuse with a following identifier into one token
+                parts = ["D " if op == "D" else "~", (g.arg, _UNARY)]
+            else:
+                parts = [op + "(", (g.arg, _IFF), ")"]
+        elif isinstance(g, Power):
+            if isinstance(g.arg, (Var, Bot, Top)):
+                parts = [(g.arg, _ATOM), f"^{g.n}"]
+            else:
+                parts = ["(", (g.arg, _IFF), f")^{g.n}"]
+        elif isinstance(g, Imp):
             # right associative: the left argument must sit one level down
-            s = f"{_render(f.lhs, _OR)} {op} {_render(f.rhs, _IMP)}"
+            parts = [(g.lhs, _OR), " -> ", (g.rhs, _IMP)]
         else:
-            s = f"{_render(f.lhs, level)} {op} {_render(f.rhs, level + 1)}"
-    if level < context:
-        return "(" + s + ")"
-    return s
+            parts = [(g.lhs, level), f" {_BINARY[type(g)]} ", (g.rhs, level + 1)]
+        if level < context:
+            parts = ["(", *parts, ")"]
+        stack.extend(reversed(parts))
+    return "".join(out)
 
 
 def variables(f: Formula) -> list[str]:
@@ -338,8 +439,7 @@ def variables(f: Formula) -> list[str]:
     return list(seen)
 
 
-@dataclass(frozen=True)
-class Compiled:
+class Compiled(Record):
     """A formula as a hash-consed node array in post-order.
 
     Each node is a triple (op, a, b).  op is one of the primitives "var",
@@ -348,6 +448,7 @@ class Compiled:
     subformulas share one node, and the root is the last node.
     """
 
+    __slots__ = ("names", "nodes")
     names: tuple[str, ...]
     nodes: tuple[tuple[str, int, int], ...]
 

@@ -100,6 +100,39 @@ def test_holds_rdp_identity_on_dp_chains():
         assert holds(rdp, DPChain(n)).ok
 
 
+def holds_by_evaluate(f, algebra):
+    """holds as a sweep of the recursive evaluator: the oracle."""
+    names = variables(f)
+    for combo in itertools.product(list(algebra.elements()), repeat=len(names)):
+        v = dict(zip(names, combo))
+        value = evaluate(f, algebra, v)
+        if value != algebra.top:
+            return (False, algebra, v, value)
+    return (True, None, None, None)
+
+
+def test_holds_matches_a_sweep_of_evaluate():
+    from test_formula import random_formula
+    rng = random.Random(52711)
+    algebras = [DPChain(n) for n in range(2, 6)] + [
+        godel_chain(3), lukasiewicz_chain(4), SUBIDEMPOTENT4, NM4,
+        ProductAlgebra([2, 3]), ProductAlgebra([3, 2, 2])]
+    refuted = 0
+    for _ in range(300):
+        f = random_formula(rng, rng.randrange(1, 7))
+        for algebra in algebras:
+            try:
+                want = holds_by_evaluate(f, algebra)
+            except EvaluationError:
+                with pytest.raises(EvaluationError):
+                    holds(f, algebra)
+                continue
+            got = holds(f, algebra)
+            assert (got.ok, got.algebra, got.valuation, got.value) == want, str(f)
+            refuted += not got.ok
+    assert 500 < refuted < 2400
+
+
 def test_holds_cap():
     with pytest.raises(CapExceeded):
         holds(parse("x & y & z"), DPChain(7), cap=100)

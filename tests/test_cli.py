@@ -1,10 +1,15 @@
 """Exit codes, JSON schemas and human output of the `dp` command."""
 
+import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dplogic
 from dplogic import MultisetObj, cli
 from dplogic.duality import multiset_from_json
 
@@ -204,3 +209,70 @@ def test_usage_errors_exit_two(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def run_dp(*argv):
+    """`python -S -m dplogic ARGV` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dplogic.__file__)))
+    return subprocess.run([sys.executable, "-S", "-m", "dplogic", *argv],
+                          env={"PYTHONPATH": src}, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_too_deep_formulas_exit_two_without_a_traceback():
+    for text in ("~" * 1000 + "x", "~" * 5000 + "(x -> x)",
+                 " & ".join(["x"] * 1500)):
+        done = run_dp("thm", text)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: formula nested deeper than")
+        assert "Traceback" not in done.stderr
+
+
+def test_deep_formulas_within_the_limit_are_answered(capsys):
+    deepest = "~" * 999 + "x"
+    code, out, _ = run(capsys, "thm", deepest)
+    assert code == 1
+    assert out.startswith(f"non-theorem: {deepest}\n")
+    code, out, _ = run(capsys, "thm", "--variety", "3", "~" * 998 + "(x -> x)")
+    assert code == 0
+    code, payload, _ = run_json(capsys, "thm", "(" * 3000 + "x" + ")" * 3000)
+    assert code == 1
+    assert payload["formula"] == "x"
+    assert payload["witness"]["algebra"] == {"type": "dp_chain", "size": 2}
+
+
+def _all_help(parser):
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return ([parser.format_help(), parser.format_usage()]
+            + [p.format_help() for p in subparsers.choices.values()])
+
+
+def test_help_matches_argparse_at_every_width(monkeypatch):
+    for columns in [None, "", "abc", "0", "-4"] + [str(w) for w in range(1, 161)]:
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        ours = _all_help(cli.build_parser())
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_Formatter", argparse.HelpFormatter)
+            assert _all_help(cli.build_parser()) == ours, columns
+
+
+def test_import_footprint():
+    # start-up cost is the modules loaded: none of these may be on the
+    # import path of `dp`, and a `thm` request loads no more of them
+    probe = ("import sys, dplogic.cli\n"
+             "heavy = ('dataclasses', 'typing', 'inspect', 'ast', 'dis', "
+             "'tokenize', 'shutil', 'random', 'dplogic.suites')\n"
+             "print(*[m for m in heavy if m in sys.modules])\n"
+             "dplogic.cli.main(['thm', 'x'])\n"
+             "print(*[m for m in heavy if m in sys.modules])\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dplogic.__file__)))
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    lines = done.stdout.splitlines()
+    assert done.returncode == 0, done.stderr
+    assert lines[0] == ""
+    assert lines[-1] == ""

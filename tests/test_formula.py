@@ -11,7 +11,7 @@ from dplogic import (
     expand_derived, parse, variables,
 )
 from dplogic.algebra import DPChain, enumerate_mtl_chains, evaluate
-from dplogic.formula import compile
+from dplogic.formula import MAX_DEPTH, _tokenize, compile
 
 
 def test_parse_atoms():
@@ -231,3 +231,124 @@ def test_compile_needs_no_recursion():
     prog = compile(f)
     assert len(prog.nodes) == 20001
     assert prog.nodes[-1] == ("~", 19999, 0)
+
+
+class ReferenceParser:
+    """The module grammar transcribed rule by rule as recursive descent:
+    the oracle for parse() on input shallow enough to recurse on."""
+
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def fail(self, expected):
+        if self.pos < len(self.tokens):
+            _, val, pos = self.tokens[self.pos]
+            raise ParseError(f"unexpected {val!r}", pos, expected)
+        raise ParseError("unexpected end of input", len(self.text), expected)
+
+    def left(self, kind, cls, operand):
+        f = operand()
+        while self.peek() == kind:
+            self.take()
+            f = cls(f, operand())
+        return f
+
+    def formula(self):
+        return self.left("iff", Iff, self.imp)
+
+    def imp(self):
+        f = self.left("or", Or, self.conj)
+        if self.peek() == "imp":
+            self.take()
+            return Imp(f, self.imp())
+        return f
+
+    def conj(self):
+        return self.left("and", Min, self.strong)
+
+    def strong(self):
+        return self.left("&", Strong, self.unary)
+
+    def unary(self):
+        if self.peek() in ("~", "delta"):
+            cls = Neg if self.take()[0] == "~" else Delta
+            return cls(self.unary())
+        f = self.atom()
+        if self.peek() == "^":
+            self.take()
+            if self.peek() != "num":
+                self.fail({"<nat>"})
+            f = Power(f, int(self.take()[1]))
+        return f
+
+    def atom(self):
+        kind = self.peek()
+        if kind == "ident":
+            return Var(self.take()[1])
+        if kind == "num":
+            _, val, pos = self.take()
+            if val not in ("0", "1"):
+                raise ParseError(f"numeral {val!r} is not a formula", pos, {"0", "1"})
+            return Bot() if val == "0" else Top()
+        if kind == "(":
+            self.take()
+            f = self.formula()
+            if self.peek() != ")":
+                self.fail({")"})
+            self.take()
+            return f
+        self.fail({"<ident>", "0", "1", "(", "~", "D"})
+
+    def parse(self):
+        f = self.formula()
+        if self.peek() is not None:
+            self.fail({"<end of input>"})
+        return f
+
+
+def outcome(parser, text):
+    try:
+        return repr(parser(text))
+    except ParseError as exc:
+        return (str(exc), exc.pos, exc.expected)
+
+
+def test_parse_matches_recursive_descent_on_random_token_strings():
+    pieces = ["x", "y1", "0", "1", "2", "(", ")", "~", "D", "D ", "&", "/\\",
+              "\\/", "->", "<->", "^", "^2", "^0", "¬", "→", " ", "@"]
+    rng = random.Random(91017)
+    parsed = 0
+    for _ in range(20000):
+        text = "".join(rng.choice(pieces) + rng.choice(("", " "))
+                       for _ in range(rng.randrange(1, 16)))
+        want = outcome(lambda t: ReferenceParser(t).parse(), text)
+        assert outcome(parse, text) == want, text
+        parsed += isinstance(want, str)
+    # accepted input is well represented among the rejected
+    assert parsed > 300
+
+
+def test_parse_depth_is_bounded_not_recursive():
+    # ==, hash and repr recurse, so deep results are compared as text
+    deepest = "~" * (MAX_DEPTH - 1) + "x"
+    assert str(parse(deepest)) == deepest
+    assert compile(parse(deepest)).nodes[-1] == ("~", MAX_DEPTH - 2, 0)
+    for text in ("~" * MAX_DEPTH + "x", "D " * MAX_DEPTH + "x",
+                 " & ".join(["x"] * (MAX_DEPTH + 1)),
+                 " -> ".join(["x"] * (MAX_DEPTH + 1)),
+                 "(" * 5000 + "~" * 5000 + "x" + ")" * 5000):
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse(text)
+    # parentheses alone add no depth
+    assert parse("(" * 100000 + "x" + ")" * 100000) == Var("x")
+    text = "(" * 400 + "~x" + ")^2" * 400 + " & y"
+    assert str(parse(text)) == text
