@@ -581,16 +581,106 @@ def _closure(algebra: Algebra, seed: Iterable) -> set:
         elems |= new
 
 
+def _tabulate(algebra: Algebra) -> tuple[list, dict, list[list[int]]]:
+    """Number the elements and tabulate *, =>, meet and join on the numbers.
+
+    tables[t][x * n + y] is the number of the t-th operation applied to
+    elements x and y.
+    """
+    elems = list(algebra.elements())
+    index = {e: i for i, e in enumerate(elems)}
+    if not isinstance(algebra, ProductAlgebra):
+        tables = [[index[op(x, y)] for x in elems for y in elems]
+                  for op in (algebra.prod, algebra.imp, algebra.meet, algebra.join)]
+        return elems, index, tables
+    # a tuple's number is its mixed-radix value, so the product's tables
+    # are the factors' tables composed one factor at a time
+    tables, n = [[0]] * 4, 1
+    for f in algebra.factors:
+        s = f.size
+        factor_tables = _tabulate(f)[2]
+        tables = [[tab[x * n + y] * s + ftab[a * s + b]
+                   for x in range(n) for a in range(s)
+                   for y in range(n) for b in range(s)]
+                  for tab, ftab in zip(tables, factor_tables)]
+        n *= s
+    return elems, index, tables
+
+
+def _derivation(algebra: Algebra, index: dict, tables: list[list[int]],
+                gens: Iterable = ()) -> tuple[list[int], list[int], list[tuple]]:
+    """Generators, derivation order and a straight-line program over numbers.
+
+    The closure of 0, top and `gens` grows semi-naively: each element in
+    turn is combined, in both orders, with every element before it.  When
+    it stops growing, the first element outside it becomes a generator,
+    the greedy choice.  Returns the generators chosen, every element in
+    the order it was reached, and the program: a step (t, x, y, z) for
+    each element z reached as op_t(x, y), operands first.
+    """
+    n = len(index)
+    closed = [False] * n
+    known = [index[e] for e in (algebra.bot, algebra.top, *gens)]
+    for i in known:
+        closed[i] = True
+    found: list[int] = []
+    program: list[tuple[int, int, int, int]] = []
+    done = 0
+    outside = iter(range(n))
+    while True:
+        while done < len(known):
+            z = known[done]
+            done += 1
+            for w in known[:done]:
+                for x, y in ((z, w), (w, z)):
+                    row = x * n + y
+                    for t, table in enumerate(tables):
+                        v = table[row]
+                        if not closed[v]:
+                            closed[v] = True
+                            known.append(v)
+                            program.append((t, x, y, v))
+        i = next((i for i in outside if not closed[i]), None)
+        if i is None:
+            return found, known, program
+        found.append(i)
+        closed[i] = True
+        known.append(i)
+
+
 def generating_set(algebra: Algebra) -> list:
     """A small generating set found greedily (constants are always free)."""
-    universe = list(algebra.elements())
-    gens: list = []
-    closed = _closure(algebra, gens)
-    for x in universe:
-        if x not in closed:
-            gens.append(x)
-            closed = _closure(algebra, gens)
-    return gens
+    elems, index, tables = _tabulate(algebra)
+    return [elems[i] for i in _derivation(algebra, index, tables)[0]]
+
+
+class _OnDemand(dict):
+    """An algebra's operations on element numbers, evaluated on first use.
+
+    Elements are numbered as they are met; key (t * m + a) * m + b holds
+    the number of op_t(a, b), where m bounds the numbers.  Only the pairs
+    asked for are ever evaluated.
+    """
+
+    def __init__(self, algebra: Algebra, m: int):
+        super().__init__()
+        self.ops = (algebra.prod, algebra.imp, algebra.meet, algebra.join)
+        self.m = m
+        self.values: list = []
+        self.numbers: dict = {}
+
+    def number(self, v) -> int:
+        i = self.numbers.get(v)
+        if i is None:
+            i = self.numbers[v] = len(self.values)
+            self.values.append(v)
+        return i
+
+    def __missing__(self, key: int) -> int:
+        t, ab = divmod(key, self.m * self.m)
+        a, b = divmod(ab, self.m)
+        c = self[key] = self.number(self.ops[t](self.values[a], self.values[b]))
+        return c
 
 
 def enumerate_homomorphisms(src: Algebra, dst: Algebra,
@@ -598,47 +688,49 @@ def enumerate_homomorphisms(src: Algebra, dst: Algebra,
     """All maps src -> dst preserving *, =>, meet, join, 0 and top.
 
     A homomorphism is fixed by its values on a generating set, so the
-    search assigns targets to the generators of src and extends each
-    assignment by operation closure, rejecting on conflict; the surviving
-    maps are verified pointwise on every pair.  The cap applies to the
-    number of generator assignments tried.
+    search assigns targets to the generators of src, runs the program that
+    derives every other element of src on those targets in dst, and
+    verifies the resulting map on every pair and operation, pairs of
+    early-derived elements first.  It works on element numbers: src's
+    operations are tabulated once, dst's are evaluated on demand and
+    remembered by operand pair, so a large dst costs only the operations
+    the search asks for.  The cap applies to the number of generator
+    assignments tried and is checked before any dst operation runs.
     """
-    elems_src = list(src.elements())
-    elems_dst = list(dst.elements())
     gens = generating_set(src)
-    tries = len(elems_dst) ** len(gens)
+    tries = dst.size ** len(gens)
     if tries > cap:
         raise CapExceeded(f"{tries} generator assignments exceed the cap of {cap}")
-    ops_src = (src.prod, src.imp, src.meet, src.join)
-    ops_dst = (dst.prod, dst.imp, dst.meet, dst.join)
+    elems, index, tables = _tabulate(src)
+    _, order, program = _derivation(src, index, tables, gens)
+    n, m = len(elems), dst.size
+    dst_ops = _OnDemand(dst, m)
+    # dst_ops[t * m * m + a * m + b] is op_t on dst's elements a and b
+    steps = [(t * m * m, x, y, z) for t, x, y, z in program]
+    # pairs of early-derived elements first and the constants 0 and top
+    # (order[:2]), which every candidate maps alike, last: wrong candidates
+    # fail sooner
+    order = order[2:] + order[:2]
+    checks = [(t * m * m, x, y, table[x * n + y])
+              for p, z in enumerate(order) for w in order[:p + 1]
+              for x, y in ((z, w), (w, z)) for t, table in enumerate(tables)]
+    h = [0] * n
+    h[index[src.bot]] = dst_ops.number(dst.bot)
+    h[index[src.top]] = dst_ops.number(dst.top)
+    g = [index[x] for x in gens]
     found = []
-    for images in itertools.product(elems_dst, repeat=len(gens)):
-        h = {src.bot: dst.bot, src.top: dst.top}
-        h.update(zip(gens, images))
-        ok = True
-        while ok:
-            grew = False
-            pairs = list(h.items())
-            for x, hx in pairs:
-                for y, hy in pairs:
-                    for f, g in zip(ops_src, ops_dst):
-                        z = f(x, y)
-                        w = g(hx, hy)
-                        hz = h.get(z)
-                        if hz is None:
-                            h[z] = w
-                            grew = True
-                        elif hz != w:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not grew:
+    # without generators the one candidate needs no element of dst listed
+    images = [dst_ops.number(v) for v in dst.elements()] if gens else []
+    for choice in itertools.product(images, repeat=len(gens)):
+        for x, a in zip(g, choice):
+            h[x] = a
+        for k, x, y, z in steps:
+            h[z] = dst_ops[k + h[x] * m + h[y]]
+        for k, x, y, z in checks:
+            if dst_ops[k + h[x] * m + h[y]] != h[z]:
                 break
-        if ok and len(h) == len(elems_src):
-            found.append(h)
+        else:
+            found.append({e: dst_ops.values[h[i]] for i, e in enumerate(elems)})
     return found
 
 

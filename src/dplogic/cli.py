@@ -8,7 +8,6 @@ parse errors, 3 when a computation would exceed its cap.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -24,6 +23,7 @@ EXIT_CAP = 3
 
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
+        import json  # only --json output and JSON operands need it
         print(json.dumps(payload, sort_keys=True))
     else:
         print(human)
@@ -109,6 +109,7 @@ def cmd_free(args) -> int:
 def _multiset_arg(text: str) -> du.MultisetObj:
     text = text.strip()
     if text.startswith("{\"") or "chains" in text:
+        import json
         return du.multiset_from_json(json.loads(text))
     try:
         return du.multiset_from_text(text)

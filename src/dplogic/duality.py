@@ -20,7 +20,7 @@ from collections.abc import Iterable, Mapping
 from functools import cache
 
 from .algebra import CapExceeded, ProductAlgebra
-from .formula import Record
+from .formula import ParseError, Record
 
 POWER_INSTANCE_CAP = 10**6
 
@@ -330,8 +330,18 @@ def multiset_to_json(c: MultisetObj) -> dict:
     return {"chains": [{"len": l, "mult": m} for l, m in c.chains]}
 
 
-def multiset_from_json(data: Mapping) -> MultisetObj:
-    return MultisetObj(tuple((e["len"], e["mult"]) for e in data["chains"]))
+def multiset_from_json(data) -> MultisetObj:
+    """Read back what multiset_to_json writes; any other shape, or a length
+    or multiplicity that is not an integer, is a ParseError."""
+    chains = data.get("chains") if isinstance(data, dict) else None
+    if not isinstance(chains, list) or data.keys() != {"chains"}:
+        raise ParseError('a JSON multiset is {"chains": [...]}', 0)
+    for e in chains:
+        if not (isinstance(e, dict) and e.keys() == {"len", "mult"}
+                and type(e["len"]) is int and type(e["mult"]) is int):
+            raise ParseError('each JSON chain is {"len": <integer>, '
+                             '"mult": <integer>}', 0)
+    return MultisetObj(tuple((e["len"], e["mult"]) for e in chains))
 
 
 def multiset_from_text(text: str) -> MultisetObj:

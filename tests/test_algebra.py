@@ -387,7 +387,8 @@ def _naive_homs(src, dst):
 
 
 def test_homomorphism_enumeration_matches_naive_search():
-    small = [DPChain(2), DPChain(3), DPChain(4), ProductAlgebra([2, 2])]
+    small = [DPChain(2), DPChain(3), DPChain(4), ProductAlgebra([2, 2]),
+             ProductAlgebra([2, 3]), godel_chain(3), lukasiewicz_chain(3)]
     for src in small:
         for dst in small:
             fast = enumerate_homomorphisms(src, dst)
@@ -405,10 +406,102 @@ def test_homomorphism_counts_between_chains():
     assert len(enumerate_homomorphisms(DPChain(2), DPChain(5))) == 1
 
 
+class _CountingOps:
+    """Forwards to an algebra and counts calls of its binary operations."""
+
+    def __init__(self, algebra):
+        self.algebra = algebra
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(self.algebra, name)
+        if name not in ALL_OPS:
+            return attr
+
+        def counted(x, y):
+            self.calls += 1
+            return attr(x, y)
+        return counted
+
+
 def test_homomorphism_cap():
     with pytest.raises(CapExceeded):
         enumerate_homomorphisms(ProductAlgebra([4, 4]), ProductAlgebra([4, 4]),
                                 cap=10)
+    # the cap is checked before any operation of the target runs
+    dst = _CountingOps(ProductAlgebra([5] * 6))
+    with pytest.raises(CapExceeded):
+        enumerate_homomorphisms(ProductAlgebra([4, 4]), dst, cap=10)
+    assert dst.calls == 0
+
+
+def _closure_generating_set(algebra):
+    # the greedy search recomputing the tuple-level closure after each pick
+    from dplogic.algebra import _closure
+
+    gens = []
+    closed = _closure(algebra, gens)
+    for x in algebra.elements():
+        if x not in closed:
+            gens.append(x)
+            closed = _closure(algebra, gens)
+    return gens
+
+
+def _closure_homs(src, dst):
+    # extend each generator assignment by operation closure until nothing
+    # grows, rejecting on the first conflict
+    gens = _closure_generating_set(src)
+    found = []
+    for images in itertools.product(list(dst.elements()), repeat=len(gens)):
+        h = {src.bot: dst.bot, src.top: dst.top}
+        h.update(zip(gens, images))
+        ok, grew = True, True
+        while ok and grew:
+            grew = False
+            pairs = list(h.items())
+            for (x, hx), (y, hy), op in itertools.product(pairs, pairs, ALL_OPS):
+                z, w = getattr(src, op)(x, y), getattr(dst, op)(hx, hy)
+                if z not in h:
+                    h[z] = w
+                    grew = True
+                elif h[z] != w:
+                    ok = False
+                    break
+        if ok and len(h) == src.size:
+            found.append(h)
+    return found
+
+
+def _duality_suite_pairs():
+    from dplogic.duality import mc_inverse
+    from dplogic.suites import _small_objects
+
+    objs = _small_objects(2, 3)
+    return [(mc_inverse(d), mc_inverse(c)) for c in objs for d in objs]
+
+
+@pytest.mark.parametrize("family", ["duality suite", "mtl chains", "product"])
+def test_homomorphism_search_matches_closure_search(family):
+    if family == "duality suite":
+        pairs = _duality_suite_pairs()
+        assert len(pairs) == 81
+    elif family == "mtl chains":
+        chains = enumerate_mtl_chains(3) + enumerate_mtl_chains(4)
+        pairs = list(itertools.product(chains, chains))
+    else:
+        pairs = [(ProductAlgebra([2, 3, 4]), ProductAlgebra([2, 3, 4]))]
+    for src, dst in pairs:
+        assert generating_set(src) == _closure_generating_set(src)
+        assert enumerate_homomorphisms(src, dst) == _closure_homs(src, dst), (src, dst)
+
+
+def test_homomorphism_search_into_a_huge_algebra_stays_cheap():
+    dst = _CountingOps(ProductAlgebra([5] * 8))
+    homs = enumerate_homomorphisms(DPChain(2), dst)
+    assert homs == [{0: (0,) * 8, 1: (4,) * 8}]
+    assert dst.size == 390625
+    assert dst.calls <= 16
 
 
 def test_generating_sets_are_small_and_generate():

@@ -241,6 +241,26 @@ def test_deep_formulas_within_the_limit_are_answered(capsys):
     assert payload["witness"]["algebra"] == {"type": "dp_chain", "size": 2}
 
 
+@pytest.mark.parametrize("operand", [
+    '{"chains": 5}',
+    '{"chains": [{"l": 3}]}',
+    '["chains"]',
+    '{"chains": [{"len": "3", "mult": 1}]}',
+    '{"chains": [{"len": 3.5, "mult": 1}]}',
+    '{"chains": [{"len": true, "mult": 1}]}',
+    '{"chains": [{"len": 3, "mult": null}]}',
+    '{"chains": [[3, 1]]}',
+    '{"chains": [], "extra": 1}',
+    '{"chains": [',
+])
+def test_malformed_json_multisets_exit_two_without_a_traceback(operand):
+    done = run_dp("dual", "product", operand, "{1}")
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
 def _all_help(parser):
     subparsers = next(a for a in parser._actions
                       if isinstance(a, argparse._SubParsersAction))
@@ -265,7 +285,7 @@ def test_import_footprint():
     # import path of `dp`, and a `thm` request loads no more of them
     probe = ("import sys, dplogic.cli\n"
              "heavy = ('dataclasses', 'typing', 'inspect', 'ast', 'dis', "
-             "'tokenize', 'shutil', 'random', 'dplogic.suites')\n"
+             "'tokenize', 'shutil', 'random', 'json', 'dplogic.suites')\n"
              "print(*[m for m in heavy if m in sys.modules])\n"
              "dplogic.cli.main(['thm', 'x'])\n"
              "print(*[m for m in heavy if m in sys.modules])\n")
