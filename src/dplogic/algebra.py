@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Iterable, Mapping
-from functools import reduce
+from functools import cache, reduce
 
 from .formula import (
     Bot, Compiled, Delta, Formula, Iff, Imp, Min, Neg, Or, Power, Record, Strong,
@@ -607,20 +607,20 @@ def _tabulate(algebra: Algebra) -> tuple[list, dict, list[list[int]]]:
     return elems, index, tables
 
 
-def _derivation(algebra: Algebra, index: dict, tables: list[list[int]],
-                gens: Iterable = ()) -> tuple[list[int], list[int], list[tuple]]:
+def _derivation(algebra: Algebra, index: dict,
+                tables: list[list[int]]) -> tuple[list[int], list[int], list[tuple]]:
     """Generators, derivation order and a straight-line program over numbers.
 
-    The closure of 0, top and `gens` grows semi-naively: each element in
-    turn is combined, in both orders, with every element before it.  When
-    it stops growing, the first element outside it becomes a generator,
-    the greedy choice.  Returns the generators chosen, every element in
-    the order it was reached, and the program: a step (t, x, y, z) for
-    each element z reached as op_t(x, y), operands first.
+    The closure of 0 and top grows semi-naively: each element in turn is
+    combined, in both orders, with every element before it.  When it stops
+    growing, the first element outside it becomes a generator, the greedy
+    choice.  Returns the generators chosen, every element in the order it
+    was reached, and the program: a step (t, x, y, z) for each element z
+    reached as op_t(x, y), operands first.
     """
     n = len(index)
     closed = [False] * n
-    known = [index[e] for e in (algebra.bot, algebra.top, *gens)]
+    known = [index[algebra.bot], index[algebra.top]]
     for i in known:
         closed[i] = True
     found: list[int] = []
@@ -697,31 +697,33 @@ def enumerate_homomorphisms(src: Algebra, dst: Algebra,
     the search asks for.  The cap applies to the number of generator
     assignments tried and is checked before any dst operation runs.
     """
-    gens = generating_set(src)
-    tries = dst.size ** len(gens)
+    elems, index, tables = _tabulate(src)
+    # the greedy generators, as generating_set picks them; the program
+    # derives each other element from those reached before it
+    g, order, program = _derivation(src, index, tables)
+    tries = dst.size ** len(g)
     if tries > cap:
         raise CapExceeded(f"{tries} generator assignments exceed the cap of {cap}")
-    elems, index, tables = _tabulate(src)
-    _, order, program = _derivation(src, index, tables, gens)
     n, m = len(elems), dst.size
     dst_ops = _OnDemand(dst, m)
     # dst_ops[t * m * m + a * m + b] is op_t on dst's elements a and b
     steps = [(t * m * m, x, y, z) for t, x, y, z in program]
-    # pairs of early-derived elements first and the constants 0 and top
-    # (order[:2]), which every candidate maps alike, last: wrong candidates
+    # pairs of the generators and of early-derived elements first, and the
+    # elements reached before the first generator (0, top and what they
+    # derive), which every candidate maps alike, last: wrong candidates
     # fail sooner
-    order = order[2:] + order[:2]
+    first = order.index(g[0]) if g else len(order)
+    order = g + [x for x in order[first:] if x not in g] + order[:first]
     checks = [(t * m * m, x, y, table[x * n + y])
               for p, z in enumerate(order) for w in order[:p + 1]
               for x, y in ((z, w), (w, z)) for t, table in enumerate(tables)]
     h = [0] * n
     h[index[src.bot]] = dst_ops.number(dst.bot)
     h[index[src.top]] = dst_ops.number(dst.top)
-    g = [index[x] for x in gens]
     found = []
     # without generators the one candidate needs no element of dst listed
-    images = [dst_ops.number(v) for v in dst.elements()] if gens else []
-    for choice in itertools.product(images, repeat=len(gens)):
+    images = [dst_ops.number(v) for v in dst.elements()] if g else []
+    for choice in itertools.product(images, repeat=len(g)):
         for x, a in zip(g, choice):
             h[x] = a
         for k, x, y, z in steps:
@@ -734,37 +736,100 @@ def enumerate_homomorphisms(src: Algebra, dst: Algebra,
     return found
 
 
-def _exact_points(v: list, k: int, size: int):
-    """Write each exact valuation of k variables on the size-chain into
-    v[2:2+k], in lexicographic order, and yield after each one.
+# a column of n points is an n-byte string, one byte (lane) per point
+_LANE = [bytes((x,)) for x in range(16)]
 
-    Exact means that the values generate the whole chain: any values on
-    the 2-chain; the coatom among them on the 3-chain; every rank strictly
-    between 0 and the coatom among them on a longer chain (the coatom is
-    then a negation).  Prefixes that leave too few variables for the ranks
-    still missing are cut, so no inexact valuation is ever visited.
+# what the columns of one block may take together, in bytes
+_BLOCK_BYTES = 1 << 20
+
+
+def _exact_blocks(k: int, size: int, limit: int):
+    """The exact valuations of k variables on the size-chain, in
+    lexicographic order, as blocks of byte columns.
+
+    Yields (n, columns): n points, and per variable an n-byte column whose
+    p-th byte is its value at the block's p-th point.  Exact means that the
+    values generate the whole chain: any values on the 2-chain; the coatom
+    among them on the 3-chain; every rank strictly between 0 and the
+    coatom among them on a longer chain (the coatom is then a negation).
+    Prefixes that leave too few variables for the ranks still missing are
+    cut, so no inexact valuation is ever built.
+
+    A block is a run of whole subtrees of the prefix tree.  The first holds
+    one point and each later one at most four times as many as the one
+    before, up to `limit` points, so a refutation met early costs little.
+    A subtree's columns are joined from its children's and remembered by
+    (variable index, ranks still missing) up to _BLOCK_BYTES, so memory
+    stays bounded however many points the chain has.
     """
     need = size - 3 if size > 3 else size - 2  # ranks 1..need must occur
-    uses = [0] * size
 
-    def fill(i: int, missing: int):
-        room = k - 1 - i  # variables after this one
+    @cache
+    def count(i: int, m: int) -> int:
+        # completions of a prefix of length i that leaves m ranks missing;
+        # how many are missing matters, not which
+        room = k - i
+        if not room:
+            return int(not m)
+        return (((size - m) * count(i + 1, m) if m < room else 0)
+                + (m * count(i + 1, m - 1) if m else 0))
+
+    def children(i: int, missing: int):
+        # bit r of missing is set while rank r has not occurred
         for x in range(size):
-            left = missing - (0 < x <= need and not uses[x])
-            if left > room:
-                continue
-            v[2 + i] = x
-            if room:
-                uses[x] += 1
-                yield from fill(i + 1, left)
-                uses[x] -= 1
-            else:
-                yield
+            left = missing & ~(1 << x)
+            if left.bit_count() < k - i:
+                yield x, left
 
-    if k:
-        yield from fill(0, need)
-    elif not need:
-        yield
+    memo: dict = {}
+    held = 0  # bytes in memo, which is emptied when they pass _BLOCK_BYTES
+
+    def suffix(i: int, missing: int) -> tuple[bytes, ...]:
+        # columns i..k-1 of the subtree below a prefix of length i
+        nonlocal held
+        cols = memo.get((i, missing))
+        if cols is None:
+            parts: list[list[bytes]] = [[] for _ in range(k - i)]
+            for x, left in children(i, missing):
+                parts[0].append(_LANE[x] * count(i + 1, left.bit_count()))
+                for part, col in zip(parts[1:], suffix(i + 1, left)):
+                    part.append(col)
+            cols = tuple(map(b"".join, parts))
+            if held > _BLOCK_BYTES:
+                memo.clear()
+                held = 0
+            memo[i, missing] = cols
+            held += sum(map(len, cols))
+        return cols
+
+    target = 1
+
+    def subtrees(i: int, missing: int, prefix: tuple):
+        # the largest subtrees that fit in the block being filled
+        if count(i, missing.bit_count()) <= target:
+            yield prefix, missing
+        else:
+            for x, left in children(i, missing):
+                yield from subtrees(i + 1, left, prefix + (x,))
+
+    block: list = []
+    n = 0
+    # at the root, all of ranks 1..need are missing
+    for prefix, missing in subtrees(0, ((1 << need) - 1) << 1, ()):
+        i = len(prefix)
+        c = count(i, missing.bit_count())
+        if n + c > target:
+            yield n, _join(block)
+            block, n = [], 0
+            target = min(4 * target, limit)
+        block.append([_LANE[x] * c for x in prefix] + list(suffix(i, missing)))
+        n += c
+    yield n, _join(block)
+
+
+def _join(block: list[list[bytes]]) -> list[bytes]:
+    # the subtrees' columns, variable by variable
+    return [b"".join(col) for col in zip(*block)]
 
 
 def is_theorem(f: Formula, cap: int = DEFAULT_CAP) -> Verdict:
@@ -786,8 +851,13 @@ def is_theorem(f: Formula, cap: int = DEFAULT_CAP) -> Verdict:
     Chains are swept smallest first and valuations in lexicographic
     order.  Embeddings preserve that order, so the first refutation found
     is the lexicographically first countermodel on the smallest refuting
-    chain.  Each point runs one loop over the compiled node array with
-    the chain's operation tables.
+    chain.  The sweep is column-wise: a block of points holds each value
+    as one byte of a column, read as a little-endian integer.  A node
+    x op y of the compiled array packs its operands' lanes as x*s + y,
+    which fits a byte for s <= 16, and `bytes.translate` looks all lanes
+    up in the operation's 256-byte table at once.  Chains above 16
+    elements (k >= 14) do not fit a lane and raise CapExceeded whatever
+    the cap.
     """
     from .duality import free_coefficient  # duality imports this module
 
@@ -797,22 +867,35 @@ def is_theorem(f: Formula, cap: int = DEFAULT_CAP) -> Verdict:
     points = sum(free_coefficient(k, s - 1) for s in sizes)
     if points > cap:
         raise CapExceeded(f"{points} valuations exceed the cap of {cap}")
+    if k + 3 > len(_LANE):
+        raise CapExceeded(f"{k} variables need the {k + 3}-element chain; "
+                          f"byte lanes hold chains of at most {len(_LANE)}")
     code, root = _lower(program)
+    # the block size that keeps every column of a block within the budget
+    limit = max(1, _BLOCK_BYTES // (2 + k + len(code)))
     for size in sizes:
         chain = DPChain(size)
         top = chain.top
-        tables = {op: tuple(tuple(fn(x, y) for y in chain.elements())
-                            for x in chain.elements())
+        tables = {op: bytes(fn(x, y) for x in chain.elements()
+                            for y in chain.elements()).ljust(256, b"\0")
                   for op, fn in (("&", chain.prod), ("->", chain.imp),
                                  ("/\\", chain.meet), ("\\/", chain.join))}
         ops = [(tables[op], a, b, out) for op, a, b, out in code]
-        v = [0, top] + [0] * (k + len(ops))
-        for _ in _exact_points(v, k, size):
+        refutes = bytes(x != top for x in range(256))
+        v = [0] * (2 + k + len(ops))
+        for n, cols in _exact_blocks(k, size, limit):
+            v[1] = int.from_bytes(_LANE[top] * n, "little")
+            v[2:2 + k] = [int.from_bytes(col, "little") for col in cols]
             for table, a, b, out in ops:
-                v[out] = table[v[a]][v[b]]
-            if v[root] != top:
-                return Verdict(False, chain, dict(zip(program.names, v[2:2 + k])),
-                               v[root])
+                v[out] = int.from_bytes(
+                    (v[a] * size + v[b]).to_bytes(n, "little").translate(table),
+                    "little")
+            lanes = v[root].to_bytes(n, "little")
+            p = lanes.translate(refutes).find(1)
+            if p >= 0:
+                return Verdict(False, chain,
+                               {name: col[p] for name, col in zip(program.names, cols)},
+                               lanes[p])
     return Verdict(True)
 
 

@@ -1,16 +1,21 @@
 """Chain operations, axiom classification, homomorphisms, theoremhood."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from functools import reduce
 
 import pytest
 
 from dplogic import (
-    CapExceeded, DPChain, EvaluationError, FiniteMTLChain, ProductAlgebra,
-    delta_axioms, delta_of, discriminator, enumerate_homomorphisms,
-    enumerate_mtl_chains, evaluate, find_embedding, free_algebra_bruteforce,
-    holds, is_dp_chain, is_simple, is_theorem, is_theorem_in_variety, parse,
-    satisfies_axiom, separating_formula, subvariety_index, variables,
+    CapExceeded, DPChain, EvaluationError, FiniteMTLChain, Iff, Or, Power,
+    ProductAlgebra, Var, delta_axioms, delta_of, discriminator,
+    enumerate_homomorphisms, enumerate_mtl_chains, evaluate, find_embedding,
+    free_algebra_bruteforce, holds, is_dp_chain, is_simple, is_theorem,
+    is_theorem_in_variety, parse, satisfies_axiom, separating_formula,
+    subvariety_index, variables,
 )
 from dplogic.algebra import (
     algebra_from_json, algebra_to_json, axiom_instance, element_name,
@@ -504,6 +509,35 @@ def test_homomorphism_search_into_a_huge_algebra_stays_cheap():
     assert dst.calls <= 16
 
 
+def test_homomorphism_search_tabulates_and_derives_its_source_once(monkeypatch):
+    from dplogic import algebra
+    calls = {"_tabulate": 0, "_derivation": 0}
+    depth = [0]
+
+    def counted(name):
+        fn = getattr(algebra, name)
+
+        def wrapper(*args):
+            # a product's tables are composed from its factors' by nested
+            # _tabulate calls; count only the outermost
+            calls[name] += not depth[0]
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(algebra, name, counted(name))
+    for src, dst in [(DPChain(4), DPChain(5)), (ProductAlgebra([2, 3]), DPChain(3)),
+                     (godel_chain(3), ProductAlgebra([3, 3]))]:
+        for name in calls:
+            calls[name] = 0
+        enumerate_homomorphisms(src, dst)
+        assert calls == {"_tabulate": 1, "_derivation": 1}, (src, dst)
+
+
 def test_generating_sets_are_small_and_generate():
     from dplogic.algebra import _closure
 
@@ -562,30 +596,178 @@ def test_is_theorem_matches_minimal_countermodel_by_holds():
     assert 200 < refuted < len(formulas) - 200
 
 
+def _exact_points(k, size, limit=1 << 16):
+    # the points of the column generator, one tuple per point
+    from dplogic.algebra import _exact_blocks
+    for n, cols in _exact_blocks(k, size, limit):
+        assert len(cols) == k and all(len(col) == n for col in cols)
+        for p in range(n):
+            yield tuple(col[p] for col in cols)
+
+
 def test_exact_valuations_generate_their_chain_in_lexicographic_order():
-    from dplogic.algebra import _closure, _exact_points
+    from dplogic.algebra import _closure
     for k in range(0, 5):
         for size in range(2, k + 4):
             chain = DPChain(size)
             want = [p for p in itertools.product(range(size), repeat=k)
                     if len(_closure(chain, p)) == size]
-            v = [0, chain.top] + [0] * k
-            got = [tuple(v[2:2 + k]) for _ in _exact_points(v, k, size)]
+            got = list(_exact_points(k, size))
             assert got == want, (k, size)
 
 
 def test_exact_valuations_count_the_free_dual_instances():
     from dplogic import free_dual
-    from dplogic.algebra import _exact_points
     counts = []
     for k in range(1, 7):
         total = 0
         for size in range(2, k + 4):
-            v = [0, size - 1] + [0] * k
-            total += sum(1 for _ in _exact_points(v, k, size))
+            total += sum(1 for _ in _exact_points(k, size))
         assert total == free_dual(k).instance_count()
         counts.append(total)
     assert counts == [4, 18, 94, 582, 4294, 37398]
+
+
+def test_exact_valuation_blocks_do_not_depend_on_the_block_limit():
+    from dplogic.algebra import _exact_blocks
+    for k, size in [(0, 2), (3, 2), (4, 5), (5, 4), (5, 8), (6, 6)]:
+        want = list(_exact_points(k, size))
+        for limit in (1, 2, 5, 64, 1000):
+            assert list(_exact_points(k, size, limit)) == want, (k, size, limit)
+            sizes = [n for n, _ in _exact_blocks(k, size, limit)]
+            assert all(n <= min(4 ** j, limit) for j, n in enumerate(sizes))
+
+
+def _point_by_point_exact_valuations(v, k, size):
+    # write each exact valuation into v[2:2+k] in lexicographic order and
+    # yield after each one; uses[x] counts the prefix's occurrences of x
+    need = size - 3 if size > 3 else size - 2
+    uses = [0] * size
+
+    def fill(i, missing):
+        room = k - 1 - i
+        for x in range(size):
+            left = missing - (0 < x <= need and not uses[x])
+            if left > room:
+                continue
+            v[2 + i] = x
+            if room:
+                uses[x] += 1
+                yield from fill(i + 1, left)
+                uses[x] -= 1
+            else:
+                yield
+
+    if k:
+        yield from fill(0, need)
+    elif not need:
+        yield
+
+
+def point_by_point_is_theorem(f):
+    """The decision procedure as one loop over the compiled node array per
+    exact valuation, the sweep the column-wise one replaced."""
+    from dplogic.algebra import Verdict, _lower
+    from dplogic.formula import compile
+    program = compile(f)
+    k = len(program.names)
+    code, root = _lower(program)
+    for size in range(2, k + 4):
+        chain = DPChain(size)
+        tables = {op: [[fn(x, y) for y in chain.elements()]
+                       for x in chain.elements()]
+                  for op, fn in (("&", chain.prod), ("->", chain.imp),
+                                 ("/\\", chain.meet), ("\\/", chain.join))}
+        ops = [(tables[op], a, b, out) for op, a, b, out in code]
+        v = [0, chain.top] + [0] * (k + len(code))
+        for _ in _point_by_point_exact_valuations(v, k, size):
+            for table, a, b, out in ops:
+                v[out] = table[v[a]][v[b]]
+            if v[root] != chain.top:
+                return Verdict(False, chain, dict(zip(program.names, v[2:2 + k])),
+                               v[root])
+    return Verdict(True)
+
+
+def test_column_sweep_matches_the_point_by_point_sweep():
+    from test_formula import random_formula
+    rng = random.Random(50517)
+    formulas = []
+    # a 7-variable theorem costs the oracle about a second
+    for k, many in ((5, 40), (6, 25), (7, 8)):
+        names = [f"v{i}" for i in range(k)]
+        found = []
+        while len(found) < many:
+            f = random_formula(rng, rng.randrange(4, 8), names=names)
+            if len(variables(f)) == k:
+                found.append(f)
+        formulas += found
+    formulas += [separating_formula(n) for n in range(2, 7)]
+    formulas += [parse(t) for t in ("1", "0", "D 1", "~0 & 1^3", "D(0 -> 0)")]
+    formulas += [Power(Iff(Var("x"), Var("x")), 7), Power(Var("y"), 0)]
+    refuted = 0
+    for f in formulas:
+        fast = is_theorem(f)
+        slow = point_by_point_is_theorem(f)
+        assert (fast.ok, fast.algebra, fast.valuation, fast.value) == (
+            slow.ok, slow.algebra, slow.valuation, slow.value), str(f)
+        refuted += not fast.ok
+    # both outcomes are well represented
+    assert 20 < refuted < len(formulas) - 20
+
+
+def test_an_early_refutation_ends_the_sweep(monkeypatch):
+    from dplogic import algebra
+    swept = {}
+    blocks = algebra._exact_blocks
+
+    def counted(k, size, limit):
+        for n, cols in blocks(k, size, limit):
+            swept[size] = swept.get(size, 0) + n
+            yield n, cols
+    monkeypatch.setattr(algebra, "_exact_blocks", counted)
+    # valid on the 2-chain; on the 3-chain the first exact valuation puts
+    # the coatom on x8, the second on x7, which refutes x7 \/ ~x7
+    f = parse("(x1 & x2 & x3 & x4 & x5 & x6 & 0) \\/ x7 \\/ ~x7 \\/ (x8 & 0)")
+    verdict = is_theorem(f)
+    assert verdict.algebra == DPChain(3)
+    assert verdict.valuation == {f"x{i}": int(i == 7) for i in range(1, 9)}
+    # of the 3-chain's 3^8 - 2^8 = 6305 exact valuations, a block of one
+    # and a block of at most four were built
+    assert swept == {2: 2 ** 8, 3: 5}
+
+
+def test_eight_variables_sweep_in_bounded_memory():
+    from dplogic import algebra
+    # an 8-variable theorem sweeps 4 366 422 points; in blocks, the whole
+    # process stays under 40 MB
+    code = ("import resource\n"
+            "from dplogic import is_theorem, parse\n"
+            "f = parse(' & '.join(f'((x{i} -> x{i + 1}) \\\\/ (x{i + 1} -> x{i}))'"
+            " for i in (1, 3, 5, 7)))\n"
+            "assert is_theorem(f).ok\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(algebra.__file__)))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 40 * 1024  # ru_maxrss is in kB on Linux
+
+
+def test_chains_above_sixteen_elements_raise_before_any_evaluation(monkeypatch):
+    from dplogic import algebra
+
+    def no_sweep(*args):
+        raise AssertionError("the sweep started")
+    monkeypatch.setattr(algebra, "_exact_blocks", no_sweep)
+    wide = reduce(Or, [Var(f"x{i}") for i in range(14)])
+    for cap in (10**20, 10**100):
+        with pytest.raises(CapExceeded, match="17-element chain"):
+            is_theorem(wide, cap=cap)
+    # 13 variables need the 16-element chain, which still fits a byte lane
+    narrow = reduce(Or, [Var(f"x{i}") for i in range(13)])
+    with pytest.raises(AssertionError, match="the sweep started"):
+        is_theorem(narrow, cap=10**20)
 
 
 def test_is_theorem_cap_counts_exact_valuations():

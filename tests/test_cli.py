@@ -67,6 +67,24 @@ def test_thm_reads_stdin(capsys, monkeypatch):
     assert payload["status"] == "theorem"
 
 
+def test_thm_decides_eight_variables_under_the_default_cap(capsys):
+    prelinear = " & ".join(f"((x{i} -> x{i + 1}) \\/ (x{i + 1} -> x{i}))"
+                           for i in (1, 3, 5, 7))
+    code, payload, _ = run_json(capsys, "thm", prelinear)
+    assert code == 0
+    assert payload["status"] == "theorem"
+    # valid on every chain up to 7 elements, refuted by the injective
+    # valuation on the 8-element chain
+    code, payload, _ = run_json(capsys, "thm", str(dplogic.separating_formula(7)))
+    assert code == 1
+    assert payload["status"] == "non_theorem"
+    witness = payload["witness"]
+    assert witness["algebra"] == {"type": "dp_chain", "size": 8}
+    assert {name: v["rank"] for name, v in witness["valuation"].items()} == {
+        f"x{i}": i - 1 for i in range(1, 9)}
+    assert witness["value"] == {"rank": 6, "name": "c"}
+
+
 def test_free_one_generator(capsys):
     code, payload, _ = run_json(capsys, "free", "1")
     assert code == 0

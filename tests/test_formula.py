@@ -117,18 +117,19 @@ def test_variables_first_occurrence_order():
 NAMES = ["x", "y", "zz"]
 
 
-def random_formula(rng, depth, allow_delta=True):
+def random_formula(rng, depth, allow_delta=True, names=NAMES):
     if depth == 0 or rng.random() < 0.25:
-        return rng.choice([Var(rng.choice(NAMES)), Bot(), Top()])
+        return rng.choice([Var(rng.choice(names)), Bot(), Top()])
     kind = rng.randrange(8 if allow_delta else 7)
     if kind == 7:
-        return Delta(random_formula(rng, depth - 1, allow_delta))
+        return Delta(random_formula(rng, depth - 1, allow_delta, names))
     if kind == 0:
-        return Neg(random_formula(rng, depth - 1, allow_delta))
+        return Neg(random_formula(rng, depth - 1, allow_delta, names))
     if kind == 1:
-        return Power(random_formula(rng, depth - 1, allow_delta), rng.randrange(6))
-    a = random_formula(rng, depth - 1, allow_delta)
-    b = random_formula(rng, depth - 1, allow_delta)
+        return Power(random_formula(rng, depth - 1, allow_delta, names),
+                     rng.randrange(6))
+    a = random_formula(rng, depth - 1, allow_delta, names)
+    b = random_formula(rng, depth - 1, allow_delta, names)
     return (Strong, Min, Imp, Or, Iff)[kind - 2](a, b)
 
 
