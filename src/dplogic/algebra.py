@@ -15,7 +15,6 @@ everything here is safe to share between threads.
 from __future__ import annotations
 
 import itertools
-import re
 from collections.abc import Iterable, Mapping
 from functools import cache, reduce
 
@@ -391,9 +390,6 @@ _AXIOM_FORMULAS = {
     "rdp": "(x -> ~x) \\/ ~~x",
 }
 
-_SCHEMA_RE = re.compile(r"^(skmtl|ncontract)\((\d+)\)$")
-
-
 def axiom_instance(name: str) -> Formula | tuple[Formula, Formula]:
     """The named axiom as a formula, or a pair (lhs, rhs) for an equation.
 
@@ -403,7 +399,8 @@ def axiom_instance(name: str) -> Formula | tuple[Formula, Formula]:
     """
     if name in _AXIOM_FORMULAS:
         return parse(_AXIOM_FORMULAS[name])
-    m = _SCHEMA_RE.match(name.replace(" ", ""))
+    import re  # only the schemas need it; `dp` does not load it otherwise
+    m = re.match(r"^(skmtl|ncontract)\((\d+)\)$", name.replace(" ", ""))
     if m is None:
         raise ValueError(f"unknown axiom {name!r}")
     k = int(m.group(2))
@@ -566,27 +563,18 @@ def find_embedding(b: DPChain, a: DPChain) -> tuple[int, ...] | None:
     return tuple(range(b.size - 2)) + (a.coatom, a.top)
 
 
-def _closure(algebra: Algebra, seed: Iterable) -> set:
-    elems = {algebra.bot, algebra.top} | set(seed)
-    while True:
-        new = set()
-        for x in elems:
-            for y in elems:
-                for op in (algebra.prod, algebra.imp, algebra.meet, algebra.join):
-                    z = op(x, y)
-                    if z not in elems:
-                        new.add(z)
-        if not new:
-            return elems
-        elems |= new
-
-
-def _tabulate(algebra: Algebra) -> tuple[list, dict, list[list[int]]]:
+def _tabulate(algebra: Algebra,
+              cap: int = DEFAULT_CAP) -> tuple[list, dict, list[list[int]]]:
     """Number the elements and tabulate *, =>, meet and join on the numbers.
 
     tables[t][x * n + y] is the number of the t-th operation applied to
-    elements x and y.
+    elements x and y.  The tables hold 4 n^2 entries; when that exceeds
+    cap, CapExceeded is raised before any is built.
     """
+    entries = 4 * algebra.size ** 2
+    if entries > cap:
+        raise CapExceeded(f"tabulating {algebra.size} elements takes {entries} "
+                          f"table entries, over the cap of {cap}")
     elems = list(algebra.elements())
     index = {e: i for i, e in enumerate(elems)}
     if not isinstance(algebra, ProductAlgebra):
@@ -649,7 +637,8 @@ def _derivation(algebra: Algebra, index: dict,
 
 
 def generating_set(algebra: Algebra) -> list:
-    """A small generating set found greedily (constants are always free)."""
+    """A small generating set found greedily (constants are always free);
+    CapExceeded when tabulating the algebra exceeds the default cap."""
     elems, index, tables = _tabulate(algebra)
     return [elems[i] for i in _derivation(algebra, index, tables)[0]]
 
@@ -694,10 +683,11 @@ def enumerate_homomorphisms(src: Algebra, dst: Algebra,
     early-derived elements first.  It works on element numbers: src's
     operations are tabulated once, dst's are evaluated on demand and
     remembered by operand pair, so a large dst costs only the operations
-    the search asks for.  The cap applies to the number of generator
-    assignments tried and is checked before any dst operation runs.
+    the search asks for.  The cap applies to the 4 |src|^2 entries of
+    src's tables, checked before they are built, and to the number of
+    generator assignments tried, checked before any dst operation runs.
     """
-    elems, index, tables = _tabulate(src)
+    elems, index, tables = _tabulate(src, cap)
     # the greedy generators, as generating_set picks them; the program
     # derives each other element from those reached before it
     g, order, program = _derivation(src, index, tables)

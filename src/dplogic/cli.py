@@ -7,9 +7,10 @@ parse errors, 3 when a computation would exceed its cap.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from _json import encode_basestring_ascii as _json_string  # json.dumps's own
+from types import SimpleNamespace
 
 from . import algebra as alg
 from . import duality as du
@@ -21,12 +22,29 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
+def _json_text(value) -> str:
+    """json.dumps(value, sort_keys=True) for the values payloads hold:
+    dicts with string keys, lists, strings, bools, None and ints."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join(_json_string(key) + ": " + _json_text(value[key])
+                               for key in sorted(value)) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_json_text, value)) + "]"
+    raise TypeError(f"not JSON serializable: {type(value).__name__}")
+
+
 def _emit(args, payload: dict, human: str) -> None:
-    if args.json:
-        import json  # only --json output and JSON operands need it
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(human)
+    print(_json_text(payload) if args.json else human)
 
 
 def _read_formula(text: str):
@@ -197,82 +215,129 @@ def cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _terminal_columns() -> int:
-    """shutil.get_terminal_size().columns: $COLUMNS if it is a positive
-    integer, else the width of the terminal on stdout, else 80."""
-    try:
-        columns = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns <= 0:
-        try:
-            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-        except (AttributeError, ValueError, OSError):
-            columns = 0
-    return columns or 80
+# Each subcommand's handler, help and arguments after the common ones,
+# every argument as argparse's add_argument takes it.  The table is the
+# one description of the command line: _parse_canonical reads the usual
+# command lines from it without argparse, and build_parser builds the
+# argparse parser that handles every other one (help, usage errors,
+# abbreviated options) from it.  _parse_canonical knows the keywords used
+# here: action="store_true", type, choices, default, dest and nargs="+".
+_COMMON = (
+    ("--json", {"action": "store_true", "help": "machine-readable output"}),
+    ("--cap", {"type": int, "default": alg.DEFAULT_CAP,
+               "help": "maximum evaluated points per sweep"}),
+)
+
+_COMMANDS = {
+    "thm": (cmd_thm, "decide theoremhood (use - to read stdin)", (
+        ("formula", {}),
+        ("--variety", {"type": int, "default": None, "metavar": "N",
+                       "help": "restrict to the variety of the N-element chain"}),
+    )),
+    "free": (cmd_free, "free finitely generated algebra report", (
+        ("k", {"type": int}),
+        ("--mode", {"choices": ("closed", "power", "oracle", "all"),
+                    "default": "all"}),
+    )),
+    "dual": (cmd_dual, "multiset-of-chains computations", (
+        ("op", {"choices": ("product", "coproduct", "power", "homcount",
+                            "inverse")}),
+        ("operands", {"nargs": "+",
+                      "help": "multisets like '{1,3,2,1}' or '{1:4,2:5}', "
+                              "JSON, or an integer exponent for power"}),
+    )),
+    "chains": (cmd_chains, "enumerate MTL-chain product tables", (
+        ("n", {"type": int}),
+        ("--class", {"dest": "cls", "choices": ("mtl", "wnm", "rdp", "dp"),
+                     "default": "mtl"}),
+    )),
+    "check": (cmd_check, "run the self-check suites", (
+        ("suite", {"choices": ("axioms", "duality", "free", "all")}),
+    )),
+}
 
 
-class _Formatter(argparse.HelpFormatter):
-    """argparse's help formatter, with its default width taken the way
-    shutil takes it but without importing shutil (and the compression
-    modules shutil loads) each time a parser is built."""
-
-    def __init__(self, prog, indent_increment=2, max_help_position=24,
-                 width=None, **kwargs):
-        if width is None:
-            width = _terminal_columns() - 2
-        super().__init__(prog, indent_increment, max_help_position, width, **kwargs)
+def _value(spec: dict, text: str):
+    """text converted and checked as argparse does; ValueError if it fails."""
+    value = spec.get("type", str)(text)
+    choices = spec.get("choices")
+    if choices is not None and value not in choices:
+        raise ValueError(f"{value!r} is not among {choices}")
+    return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _parse_canonical(argv: list[str]) -> dict:
+    """The values argparse gives a canonical command line.
+
+    Canonical means: a subcommand, then its positionals in one run, with
+    its options before or after them, each spelled out in full as --json,
+    --opt value or --opt=value, every value converting and among the
+    choices.  Any other command line (help, abbreviations, "--", a word
+    starting with "-" other than "-" itself, a wrong count, a bad value)
+    raises ValueError and is left to argparse, which reports every usage
+    error.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        raise ValueError("no subcommand first")
+    handler, _, arguments = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "handler": handler}
+    options, positionals = {}, []
+    for name, spec in _COMMON + arguments:
+        if name.startswith("--"):
+            dest = spec.get("dest", name[2:])
+            options[name] = dest, spec
+            values[dest] = spec.get("default", False if "action" in spec else None)
+        else:
+            positionals.append((name, spec))
+    words: list = []
+    ended = False  # an option has followed the positionals
+    rest = iter(argv[1:])
+    for word in rest:
+        if word[:1] != "-" or word == "-":
+            if ended:
+                raise ValueError("positionals split by an option")
+            words.append(word)
+            continue
+        ended = bool(words)
+        name, eq, text = word.partition("=")
+        if name not in options:
+            raise ValueError(f"{name} is not an option spelled out")
+        dest, spec = options[name]
+        if "action" in spec:  # the --json switch
+            if eq:
+                raise ValueError(f"{name} takes no value")
+            values[dest] = True
+            continue
+        if not eq:
+            text = next(rest, None)
+            if text is None or text[:1] == "-":
+                raise ValueError(f"{name} without a value")
+        values[dest] = _value(spec, text)
+    if positionals[-1][1].get("nargs") == "+":
+        # the last positional takes the remaining words, at least one
+        n = len(positionals) - 1
+        words[n:] = [words[n:]] if len(words) > n else []
+    if len(words) != len(positionals):
+        raise ValueError("wrong number of positionals")
+    for (name, spec), word in zip(positionals, words):
+        values[name] = ([_value(spec, w) for w in word] if isinstance(word, list)
+                        else _value(spec, word))
+    return values
+
+
+def build_parser():
+    """The argparse parser for every command line, built from _COMMANDS."""
+    import argparse
     parser = argparse.ArgumentParser(
-        prog="dp", formatter_class=_Formatter,
+        prog="dp",
         description="theoremhood, axiom analysis and duality for "
                     "drastic-product logic")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False, formatter_class=_Formatter)
-    common.add_argument("--json", action="store_true",
-                        help="machine-readable output")
-    common.add_argument("--cap", type=int, default=alg.DEFAULT_CAP,
-                        help="maximum evaluated points per sweep")
-    shared = {"parents": [common], "formatter_class": _Formatter}
-
-    p = sub.add_parser("thm", **shared,
-                       help="decide theoremhood (use - to read stdin)")
-    p.add_argument("formula")
-    p.add_argument("--variety", type=int, default=None, metavar="N",
-                   help="restrict to the variety of the N-element chain")
-    p.set_defaults(handler=cmd_thm)
-
-    p = sub.add_parser("free", **shared,
-                       help="free finitely generated algebra report")
-    p.add_argument("k", type=int)
-    p.add_argument("--mode", choices=("closed", "power", "oracle", "all"),
-                   default="all")
-    p.set_defaults(handler=cmd_free)
-
-    p = sub.add_parser("dual", **shared,
-                       help="multiset-of-chains computations")
-    p.add_argument("op", choices=("product", "coproduct", "power",
-                                  "homcount", "inverse"))
-    p.add_argument("operands", nargs="+",
-                   help="multisets like '{1,3,2,1}' or '{1:4,2:5}', "
-                        "JSON, or an integer exponent for power")
-    p.set_defaults(handler=cmd_dual)
-
-    p = sub.add_parser("chains", **shared,
-                       help="enumerate MTL-chain product tables")
-    p.add_argument("n", type=int)
-    p.add_argument("--class", dest="cls",
-                   choices=("mtl", "wnm", "rdp", "dp"), default="mtl")
-    p.set_defaults(handler=cmd_chains)
-
-    p = sub.add_parser("check", **shared,
-                       help="run the self-check suites")
-    p.add_argument("suite", choices=("axioms", "duality", "free", "all"))
-    p.set_defaults(handler=cmd_check)
-
+    for command, (handler, summary, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, spec in _COMMON + arguments:
+            p.add_argument(name, **spec)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -281,12 +346,16 @@ def main(argv: list[str] | None = None) -> int:
     # int-to-str conversion guard from k = 6 on
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help
-        return EXIT_USAGE if exc.code else EXIT_OK
+        args = SimpleNamespace(**_parse_canonical(argv))
+    except ValueError:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors and 0 on --help
+            return EXIT_USAGE if exc.code else EXIT_OK
     try:
         code = args.handler(args)
         sys.stdout.flush()

@@ -24,7 +24,6 @@ input but never produced by the printer.
 
 from __future__ import annotations
 
-import re
 from operator import attrgetter
 
 _setattr = object.__setattr__
@@ -222,40 +221,49 @@ _ALIASES = {
     "Δ": "D", "⊥": "0", "⊤": "1",
 }
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<iff><->)
-      | (?P<imp>->)
-      | (?P<or>\\/)
-      | (?P<and>/\\)
-      | (?P<num>\d+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<punct>[&~^()])
-      | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_IDENT_PART = _IDENT_START | frozenset("0123456789")
+_PUNCT = frozenset("&~^()")
+_ARROWS = (("<->", "iff"), ("->", "imp"), ("\\/", "or"), ("/\\", "and"))
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Lex into (kind, text, position) triples; kind is one of
-    iff/imp/or/and/num/ident/delta/&/~/^/(/)."""
+    iff/imp/or/and/num/ident/delta/&/~/^/(/).
+
+    White space and numerals are Unicode's (str.isspace, str.isdecimal),
+    identifiers are ASCII: [A-Za-z_][A-Za-z0-9_]*.
+    """
     if not text.isascii():
         for alias, ascii_form in _ALIASES.items():
             text = text.replace(alias, " %s " % ascii_form)
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        start = i
+        i += 1
+        if c.isspace():
             continue
-        val = m.group()
-        if kind == "punct":
-            kind = val
-        elif kind == "ident" and val == "D":
-            kind = "delta"
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {val!r}", m.start())
-        tokens.append((kind, val, m.start()))
+        if c in _IDENT_START:
+            while i < n and text[i] in _IDENT_PART:
+                i += 1
+            word = text[start:i]
+            tokens.append(("delta" if word == "D" else "ident", word, start))
+        elif c.isdecimal():
+            while i < n and text[i].isdecimal():
+                i += 1
+            tokens.append(("num", text[start:i], start))
+        elif c in _PUNCT:
+            tokens.append((c, c, start))
+        else:
+            for arrow, kind in _ARROWS:
+                if text.startswith(arrow, start):
+                    tokens.append((kind, arrow, start))
+                    i = start + len(arrow)
+                    break
+            else:
+                raise ParseError(f"unexpected character {c!r}", start)
     return tokens
 
 
@@ -420,25 +428,6 @@ def render(f: Formula) -> str:
     return "".join(out)
 
 
-def variables(f: Formula) -> list[str]:
-    """Variable names in first-occurrence order, without duplicates."""
-    seen: dict[str, None] = {}
-
-    def walk(g: Formula):
-        if isinstance(g, Var):
-            seen.setdefault(g.name)
-        elif isinstance(g, (Neg, Delta)):
-            walk(g.arg)
-        elif isinstance(g, Power):
-            walk(g.arg)
-        elif isinstance(g, (Strong, Min, Imp, Or, Iff)):
-            walk(g.lhs)
-            walk(g.rhs)
-
-    walk(f)
-    return list(seen)
-
-
 class Compiled(Record):
     """A formula as a hash-consed node array in post-order.
 
@@ -471,8 +460,8 @@ def compile(f: Formula) -> Compiled:
 
     a <-> b becomes (a -> b) & (b -> a) over the shared nodes of a and b,
     x^n becomes a product of n copies of x and x^0 becomes 1.  names
-    lists the variables in first-occurrence order, as variables() does,
-    including those that occur only under a zeroth power.
+    lists the variables in first-occurrence order, including those that
+    occur only under a zeroth power.
     """
     names: dict[str, int] = {}
     # (op, a, b) -> node id; insertion order is the node array
@@ -524,6 +513,12 @@ def compile(f: Formula) -> Compiled:
             else:
                 done.append(node(_PRIMITIVE[type(g)], a, b))
     return Compiled(tuple(names), tuple(ids))
+
+
+def variables(f: Formula) -> list[str]:
+    """Variable names in first-occurrence order, without duplicates, also
+    those that occur only under a zeroth power."""
+    return list(compile(f).names)
 
 
 def expand_derived(f: Formula) -> Formula:

@@ -38,6 +38,23 @@ def lukasiewicz_chain(n):
 SUBIDEMPOTENT4 = FiniteMTLChain(
     [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 2], [0, 1, 2, 3]])
 
+
+def _closure(algebra, seed):
+    """The subalgebra generated by seed, by naive fixpoint iteration over
+    element tuples: the oracle for generating sets and exact valuations."""
+    elems = {algebra.bot, algebra.top} | set(seed)
+    while True:
+        new = set()
+        for x in elems:
+            for y in elems:
+                for op in (algebra.prod, algebra.imp, algebra.meet, algebra.join):
+                    z = op(x, y)
+                    if z not in elems:
+                        new.add(z)
+        if not new:
+            return elems
+        elems |= new
+
 # the nilpotent-minimum table on four elements: b*b = b instead
 NM4 = FiniteMTLChain(
     [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]])
@@ -438,12 +455,31 @@ def test_homomorphism_cap():
     with pytest.raises(CapExceeded):
         enumerate_homomorphisms(ProductAlgebra([4, 4]), dst, cap=10)
     assert dst.calls == 0
+    # 36 table entries pass, 15 625 generator assignments do not
+    with pytest.raises(CapExceeded, match="generator assignments"):
+        enumerate_homomorphisms(DPChain(3), dst, cap=1000)
+    assert dst.calls == 0
+
+
+class _UntabulatedProduct(ProductAlgebra):
+    def elements(self):
+        raise AssertionError("the elements were listed")
+
+
+def test_tabulating_a_large_source_raises_before_any_table():
+    # 3 125 elements would take 4 * 3125^2 = 39 062 500 entries (over a GB)
+    src = _UntabulatedProduct([5] * 5)
+    with pytest.raises(CapExceeded, match="39062500 table entries"):
+        generating_set(src)
+    with pytest.raises(CapExceeded, match="table entries"):
+        enumerate_homomorphisms(src, DPChain(2))
+    with pytest.raises(CapExceeded, match="table entries"):
+        enumerate_homomorphisms(ProductAlgebra([2, 2]), DPChain(2), cap=63)
+    assert len(enumerate_homomorphisms(ProductAlgebra([2, 2]), DPChain(2), cap=64)) == 2
 
 
 def _closure_generating_set(algebra):
     # the greedy search recomputing the tuple-level closure after each pick
-    from dplogic.algebra import _closure
-
     gens = []
     closed = _closure(algebra, gens)
     for x in algebra.elements():
@@ -539,8 +575,6 @@ def test_homomorphism_search_tabulates_and_derives_its_source_once(monkeypatch):
 
 
 def test_generating_sets_are_small_and_generate():
-    from dplogic.algebra import _closure
-
     for algebra in [DPChain(2), DPChain(3), DPChain(4), DPChain(5), DPChain(7),
                     ProductAlgebra([3, 4]), ProductAlgebra([2, 2])]:
         gens = generating_set(algebra)
@@ -606,7 +640,6 @@ def _exact_points(k, size, limit=1 << 16):
 
 
 def test_exact_valuations_generate_their_chain_in_lexicographic_order():
-    from dplogic.algebra import _closure
     for k in range(0, 5):
         for size in range(2, k + 4):
             chain = DPChain(size)
@@ -740,18 +773,19 @@ def test_an_early_refutation_ends_the_sweep(monkeypatch):
 def test_eight_variables_sweep_in_bounded_memory():
     from dplogic import algebra
     # an 8-variable theorem sweeps 4 366 422 points; in blocks, the whole
-    # process stays under 40 MB
-    code = ("import resource\n"
-            "from dplogic import is_theorem, parse\n"
+    # process stays under 40 MB.  Its peak is read as VmHWM: ru_maxrss
+    # would also count the test process's own memory at the fork.
+    code = ("from dplogic import is_theorem, parse\n"
             "f = parse(' & '.join(f'((x{i} -> x{i + 1}) \\\\/ (x{i + 1} -> x{i}))'"
             " for i in (1, 3, 5, 7)))\n"
             "assert is_theorem(f).ok\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            "print(next(line.split()[1] for line in open('/proc/self/status')"
+            " if line.startswith('VmHWM:')))\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(algebra.__file__)))
     done = subprocess.run([sys.executable, "-S", "-c", code], env={"PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) < 40 * 1024  # ru_maxrss is in kB on Linux
+    assert int(done.stdout) < 40 * 1024  # in kB
 
 
 def test_chains_above_sixteen_elements_raise_before_any_evaluation(monkeypatch):

@@ -1,13 +1,16 @@
 """Exit codes, JSON schemas and human output of the `dp` command."""
 
-import argparse
+import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dplogic
 from dplogic import MultisetObj, cli
@@ -279,33 +282,103 @@ def test_malformed_json_multisets_exit_two_without_a_traceback(operand):
     assert done.stdout == ""
 
 
-def _all_help(parser):
-    subparsers = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    return ([parser.format_help(), parser.format_usage()]
-            + [p.format_help() for p in subparsers.choices.values()])
+def _argparse_values(parser, argv):
+    """argparse's values for argv, or None where it exits (help, errors)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return vars(parser.parse_args(argv))
+    except SystemExit:
+        return None
 
 
-def test_help_matches_argparse_at_every_width(monkeypatch):
-    for columns in [None, "", "abc", "0", "-4"] + [str(w) for w in range(1, 161)]:
-        if columns is None:
-            monkeypatch.delenv("COLUMNS", raising=False)
+_WORDS = ["x", "x -> x", "-", "--", "-1", "-h", "--help", "3", " 4 ", "٣", "3.0",
+          "1_0", "", "{3}", "{1,3}", "=", "all", "closed", "dp", "rdp", "free",
+          "product", "power", "inverse", "bogus", "--json", "--js", "--json=1",
+          "--cap", "--cap=7", "--cap=", "--ca=7", "--variety", "--variety=2",
+          "--variety=-2", "--mode", "--mode=all", "--mode=none", "--mo=all",
+          "--class", "--class=wnm", "--cls=dp", "-x", "- x", "-2"]
+
+
+def _random_argv(rng, command):
+    """A command line for command: its positionals, options inserted
+    anywhere, and often one word replaced by, or added from, _WORDS."""
+    words, options = [], []
+    for name, spec in cli._COMMON + cli._COMMANDS[command][2]:
+        values = (list(spec.get("choices", ())) or (["2", "12", " 5", "٣", "x"]
+                  if spec.get("type") is int else ["x", "x -> x", "-", "{3}", "2"]))
+        if not name.startswith("--"):
+            words += [rng.choice(values)
+                      for _ in range(rng.choice((1, 2)) if "nargs" in spec else 1)]
+        elif rng.random() < 0.5:
+            options.append([name] if "action" in spec else
+                           rng.choice(([name, rng.choice(values)],
+                                       [f"{name}={rng.choice(values)}"])))
+    for option in options:
+        at = rng.randrange(len(words) + 1)
+        words[at:at] = option
+    if rng.random() < 0.5:
+        at = rng.randrange(len(words) + 1)
+        words[at:at + rng.randrange(2)] = [rng.choice(_WORDS)]
+    return [command] + words
+
+
+def test_canonical_parser_agrees_with_argparse():
+    # wherever the table parser accepts a command line, argparse built from
+    # the same table accepts it with equal values
+    parser = cli.build_parser()
+    rng = random.Random(6)
+    accepted = 0
+    for _ in range(6000):
+        command = rng.choice(list(cli._COMMANDS) + ["bogus"])
+        if command in cli._COMMANDS:
+            argv = _random_argv(rng, command)
         else:
-            monkeypatch.setenv("COLUMNS", columns)
-        ours = _all_help(cli.build_parser())
-        with monkeypatch.context() as m:
-            m.setattr(cli, "_Formatter", argparse.HelpFormatter)
-            assert _all_help(cli.build_parser()) == ours, columns
+            argv = [command] + [rng.choice(_WORDS) for _ in range(rng.randrange(4))]
+        try:
+            ours = cli._parse_canonical(argv)
+        except ValueError:
+            continue
+        accepted += 1
+        assert _argparse_values(parser, argv) == ours, argv
+    assert accepted > 1500
+    # the command lines the benchmark and the README use are canonical
+    for argv in (["thm", "--json", "x \\/ ~x"], ["thm", "--variety", "2", "x"],
+                 ["thm", "x", "--cap=10"], ["thm", "-"], ["free", "3", "--json"],
+                 ["free", "2", "--mode", "all"], ["dual", "power", "{1,3}", "2"],
+                 ["dual", "product", "{3}", "{3}", "--json"],
+                 ["chains", "4", "--class", "wnm", "--json"], ["check", "all"]):
+        assert cli._parse_canonical(argv) == _argparse_values(parser, argv), argv
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+                | st.integers(min_value=-10**1000, max_value=10**1000)
+                | st.text(st.characters(), max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_JSON_LEAVES, lambda inner: (
+    st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(st.characters(), max_size=6), inner, max_size=4)),
+    max_leaves=20))
+def test_json_writer_matches_json_dumps(payload):
+    assert cli._json_text(payload) == json.dumps(payload, sort_keys=True)
 
 
 def test_import_footprint():
     # start-up cost is the modules loaded: none of these may be on the
-    # import path of `dp`, and a `thm` request loads no more of them
+    # import path of `dp`, and the usual requests (canonical command lines,
+    # --json among them) load no more of them: argparse, re and json load
+    # only for help, usage errors, JSON operands and axiom schemas
     probe = ("import sys, dplogic.cli\n"
              "heavy = ('dataclasses', 'typing', 'inspect', 'ast', 'dis', "
-             "'tokenize', 'shutil', 'random', 'json', 'dplogic.suites')\n"
+             "'tokenize', 'shutil', 'random', 'json', 'dplogic.suites', "
+             "'re', 'argparse', 'enum', 'gettext', 'locale')\n"
              "print(*[m for m in heavy if m in sys.modules])\n"
-             "dplogic.cli.main(['thm', 'x'])\n"
+             "for argv in (['thm', 'x'], ['thm', '--json', 'x \\\\/ ~x'], "
+             "['free', '3', '--json'], ['dual', 'product', '{3}', '{1,2}'], "
+             "['dual', 'homcount', '{3}', '{2}'], ['chains', '3', '--json']):\n"
+             "    dplogic.cli.main(argv)\n"
              "print(*[m for m in heavy if m in sys.modules])\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(dplogic.__file__)))
     done = subprocess.run([sys.executable, "-S", "-c", probe], env={"PYTHONPATH": src},

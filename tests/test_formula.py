@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import re
+import sys
 from functools import reduce
 
 import pytest
@@ -11,7 +13,7 @@ from dplogic import (
     expand_derived, parse, variables,
 )
 from dplogic.algebra import DPChain, enumerate_mtl_chains, evaluate
-from dplogic.formula import MAX_DEPTH, _tokenize, compile
+from dplogic.formula import _ALIASES, MAX_DEPTH, _tokenize, compile
 
 
 def test_parse_atoms():
@@ -338,10 +340,64 @@ def test_parse_matches_recursive_descent_on_random_token_strings():
     assert parsed > 300
 
 
+_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<iff><->)
+      | (?P<imp>->)
+      | (?P<or>\\/)
+      | (?P<and>/\\)
+      | (?P<num>\d+)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<punct>[&~^()])
+      | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def regex_tokenize(text):
+    """The tokenizer as one regular expression: the oracle for _tokenize."""
+    if not text.isascii():
+        for alias, ascii_form in _ALIASES.items():
+            text = text.replace(alias, " %s " % ascii_form)
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        val = m.group()
+        if kind == "punct":
+            kind = val
+        elif kind == "ident" and val == "D":
+            kind = "delta"
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {val!r}", m.start())
+        tokens.append((kind, val, m.start()))
+    return tokens
+
+
+def test_tokenizer_matches_the_regex_tokenizer():
+    pieces = ["x", "y1", "_a", "D", "Dx", "0", "17", "٣", "१२", "x٣", "\u00b2",
+              "\u2460", "<->", "<-", "<", "->", "-", "-->", "\\/", "\\", "/\\",
+              "/", "/\\/", "&", "~", "^", "(", ")", " ", "\t", "\n", "\x0b", "\x1c",
+              "\x85", "\xa0", "\u2003", "\u3000", "\u200b", "¬", "∧", "∨", "→",
+              "↔", "Δ", "⊥", "⊤", "@", "$", "é", "ß", "x\u0301", "\U0001d4cd",
+              "\U0001d7d9", "\ud800", "\x00"]
+    rng = random.Random(60601)
+    for _ in range(20000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(12)))
+        assert outcome(_tokenize, text) == outcome(regex_tokenize, text), text
+    # the scanner's character classes are the expression's \s and \d
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
+    assert re.findall(r"\d", chars) == [c for c in chars if c.isdecimal()]
+
+
 def test_parse_depth_is_bounded_not_recursive():
     # ==, hash and repr recurse, so deep results are compared as text
     deepest = "~" * (MAX_DEPTH - 1) + "x"
     assert str(parse(deepest)) == deepest
+    assert variables(parse(deepest)) == ["x"]
     assert compile(parse(deepest)).nodes[-1] == ("~", MAX_DEPTH - 2, 0)
     for text in ("~" * MAX_DEPTH + "x", "D " * MAX_DEPTH + "x",
                  " & ".join(["x"] * (MAX_DEPTH + 1)),
