@@ -563,6 +563,13 @@ def find_embedding(b: DPChain, a: DPChain) -> tuple[int, ...] | None:
     return tuple(range(b.size - 2)) + (a.coatom, a.top)
 
 
+def _check_table_cap(algebra: Algebra, cap: int) -> None:
+    entries = 4 * algebra.size ** 2
+    if entries > cap:
+        raise CapExceeded(f"tabulating {algebra.size} elements takes {entries} "
+                          f"table entries, over the cap of {cap}")
+
+
 def _tabulate(algebra: Algebra,
               cap: int = DEFAULT_CAP) -> tuple[list, dict, list[list[int]]]:
     """Number the elements and tabulate *, =>, meet and join on the numbers.
@@ -571,10 +578,7 @@ def _tabulate(algebra: Algebra,
     elements x and y.  The tables hold 4 n^2 entries; when that exceeds
     cap, CapExceeded is raised before any is built.
     """
-    entries = 4 * algebra.size ** 2
-    if entries > cap:
-        raise CapExceeded(f"tabulating {algebra.size} elements takes {entries} "
-                          f"table entries, over the cap of {cap}")
+    _check_table_cap(algebra, cap)
     elems = list(algebra.elements())
     index = {e: i for i, e in enumerate(elems)}
     if not isinstance(algebra, ProductAlgebra):
@@ -672,6 +676,113 @@ class _OnDemand(dict):
         return c
 
 
+class _Source:
+    """What the homomorphism search knows of one source algebra.
+
+    Its elements, numbered and tabulated once; the greedy generators and
+    the straight-line program deriving every other element from them; the
+    checks that verify a candidate map, per target size; and, per target
+    chain, the homomorphisms found, each as a tuple of images in element
+    number order.  The per-target dicts are emptied when they reach
+    _TARGETS_KEPT entries, so a source asked about many targets holds
+    only the recent ones.
+    """
+
+    __slots__ = ("algebra", "elems", "gens", "bot", "top", "program",
+                 "order", "tables", "checks", "homs")
+
+    def __init__(self, algebra: Algebra, cap: int):
+        elems, index, tables = _tabulate(algebra, cap)
+        # the greedy generators, as generating_set picks them; the program
+        # derives each other element from those reached before it
+        g, order, self.program = _derivation(algebra, index, tables)
+        # pairs of the generators and of early-derived elements first, and
+        # the elements reached before the first generator (0, top and what
+        # they derive), which every candidate maps alike, last: wrong
+        # candidates fail sooner
+        first = order.index(g[0]) if g else len(order)
+        self.order = g + [x for x in order[first:] if x not in g] + order[:first]
+        self.algebra, self.elems, self.gens, self.tables = algebra, elems, g, tables
+        self.bot, self.top = index[algebra.bot], index[algebra.top]
+        self.checks: dict[int, list] = {}
+        self.homs: dict = {}
+
+    def _checks(self, m: int) -> list[tuple[int, int, int, int]]:
+        # (t * m * m, x, y, op_t(x, y)) for every pair of elements, in both
+        # orders, and every operation t, as keys into an m-element target
+        checks = self.checks.get(m)
+        if checks is None:
+            n, order, mm = len(self.elems), self.order, m * m
+            checks = [(t * mm, x, y, table[x * n + y])
+                      for p, z in enumerate(order) for w in order[:p + 1]
+                      for x, y in ((z, w), (w, z))
+                      for t, table in enumerate(self.tables)]
+            _keep(self.checks, m, checks)
+        return checks
+
+    def homs_into(self, dst: Algebra) -> list[tuple]:
+        """The homomorphisms into dst, as image tuples, in the order of
+        their generator images."""
+        key = (type(dst), dst)
+        homs = self.homs.get(key)
+        if homs is None:
+            homs = self._search(dst)
+            _keep(self.homs, key, homs)
+        return homs
+
+    def _search(self, dst: Algebra) -> list[tuple]:
+        g, m = self.gens, dst.size
+        dst_ops = _OnDemand(dst, m)
+        # dst_ops[t * m * m + a * m + b] is op_t on dst's elements a and b
+        steps = [(t * m * m, x, y, z) for t, x, y, z in self.program]
+        checks = self._checks(m)
+        h = [0] * len(self.elems)
+        h[self.bot] = dst_ops.number(dst.bot)
+        h[self.top] = dst_ops.number(dst.top)
+        values = dst_ops.values
+        found = []
+        # without generators the one candidate needs no element of dst listed
+        images = [dst_ops.number(v) for v in dst.elements()] if g else []
+        for choice in itertools.product(images, repeat=len(g)):
+            for x, a in zip(g, choice):
+                h[x] = a
+            for k, x, y, z in steps:
+                h[z] = dst_ops[k + h[x] * m + h[y]]
+            for k, x, y, z in checks:
+                if dst_ops[k + h[x] * m + h[y]] != h[z]:
+                    break
+            else:
+                found.append(tuple([values[i] for i in h]))
+        return found
+
+
+# entries a _Source keeps per target size and per target chain
+_TARGETS_KEPT = 16
+
+
+def _keep(memo: dict, key, value) -> None:
+    if len(memo) >= _TARGETS_KEPT:
+        memo.clear()
+    memo[key] = value
+
+
+# the last source analysed, replaced whole; threads share it without a
+# lock, since a race between them at worst repeats an analysis or a search
+_last_source: _Source | None = None
+
+
+def _analysed(src: Algebra, cap: int) -> _Source:
+    """The analysis of src, from the slot when src was the last source;
+    src's table cap is checked either way."""
+    global _last_source
+    last = _last_source
+    if last is None or type(last.algebra) is not type(src) or last.algebra != src:
+        last = _last_source = _Source(src, cap)
+    else:
+        _check_table_cap(src, cap)
+    return last
+
+
 def enumerate_homomorphisms(src: Algebra, dst: Algebra,
                             cap: int = DEFAULT_CAP) -> list[dict]:
     """All maps src -> dst preserving *, =>, meet, join, 0 and top.
@@ -683,47 +794,34 @@ def enumerate_homomorphisms(src: Algebra, dst: Algebra,
     early-derived elements first.  It works on element numbers: src's
     operations are tabulated once, dst's are evaluated on demand and
     remembered by operand pair, so a large dst costs only the operations
-    the search asks for.  The cap applies to the 4 |src|^2 entries of
-    src's tables, checked before they are built, and to the number of
-    generator assignments tried, checked before any dst operation runs.
+    the search asks for.
+
+    A map into a ProductAlgebra is a homomorphism iff each coordinate is,
+    so the search runs once per distinct factor, and the maps are the
+    combinations of the factors' homomorphisms, sorted by generator images
+    as a search over the whole product would list them.  What is learnt
+    of a source (tables, program, checks, homomorphisms per target chain)
+    is kept for the last source asked about, so asking about one source
+    for several targets in a row analyses it once; the lists returned are
+    the caller's own.
+
+    The cap applies to the 4 |src|^2 entries of src's tables, checked
+    before they are built, and to the |dst|^g assignments of dst's
+    elements to the g generators, checked before any dst operation runs.
     """
-    elems, index, tables = _tabulate(src, cap)
-    # the greedy generators, as generating_set picks them; the program
-    # derives each other element from those reached before it
-    g, order, program = _derivation(src, index, tables)
-    tries = dst.size ** len(g)
+    source = _analysed(src, cap)
+    tries = dst.size ** len(source.gens)
     if tries > cap:
         raise CapExceeded(f"{tries} generator assignments exceed the cap of {cap}")
-    n, m = len(elems), dst.size
-    dst_ops = _OnDemand(dst, m)
-    # dst_ops[t * m * m + a * m + b] is op_t on dst's elements a and b
-    steps = [(t * m * m, x, y, z) for t, x, y, z in program]
-    # pairs of the generators and of early-derived elements first, and the
-    # elements reached before the first generator (0, top and what they
-    # derive), which every candidate maps alike, last: wrong candidates
-    # fail sooner
-    first = order.index(g[0]) if g else len(order)
-    order = g + [x for x in order[first:] if x not in g] + order[:first]
-    checks = [(t * m * m, x, y, table[x * n + y])
-              for p, z in enumerate(order) for w in order[:p + 1]
-              for x, y in ((z, w), (w, z)) for t, table in enumerate(tables)]
-    h = [0] * n
-    h[index[src.bot]] = dst_ops.number(dst.bot)
-    h[index[src.top]] = dst_ops.number(dst.top)
-    found = []
-    # without generators the one candidate needs no element of dst listed
-    images = [dst_ops.number(v) for v in dst.elements()] if g else []
-    for choice in itertools.product(images, repeat=len(g)):
-        for x, a in zip(g, choice):
-            h[x] = a
-        for k, x, y, z in steps:
-            h[z] = dst_ops[k + h[x] * m + h[y]]
-        for k, x, y, z in checks:
-            if dst_ops[k + h[x] * m + h[y]] != h[z]:
-                break
-        else:
-            found.append({e: dst_ops.values[h[i]] for i, e in enumerate(elems)})
-    return found
+    elems = source.elems
+    if not isinstance(dst, ProductAlgebra):
+        return [dict(zip(elems, h)) for h in source.homs_into(dst)]
+    per_factor = [source.homs_into(f) for f in dst.factors]
+    # each map as a list of images, an image being a tuple over the factors
+    maps = [list(zip(*coords)) for coords in itertools.product(*per_factor)]
+    g = source.gens
+    maps.sort(key=lambda h: [h[x] for x in g])
+    return [dict(zip(elems, h)) for h in maps]
 
 
 # a column of n points is an n-byte string, one byte (lane) per point
@@ -822,6 +920,15 @@ def _join(block: list[list[bytes]]) -> list[bytes]:
     return [b"".join(col) for col in zip(*block)]
 
 
+def _lane_tables(chain: DPChain) -> dict[str, bytes]:
+    """The operations of a chain of at most 16 elements as 256-byte tables
+    for bytes.translate: byte x * size + y holds op(x, y)."""
+    return {op: bytes(fn(x, y) for x in chain.elements()
+                      for y in chain.elements()).ljust(256, b"\0")
+            for op, fn in (("&", chain.prod), ("->", chain.imp),
+                           ("/\\", chain.meet), ("\\/", chain.join))}
+
+
 def is_theorem(f: Formula, cap: int = DEFAULT_CAP) -> Verdict:
     """Decide DP theoremhood on the exact valuations of C_2, ..., C_{k+3}.
 
@@ -866,10 +973,7 @@ def is_theorem(f: Formula, cap: int = DEFAULT_CAP) -> Verdict:
     for size in sizes:
         chain = DPChain(size)
         top = chain.top
-        tables = {op: bytes(fn(x, y) for x in chain.elements()
-                            for y in chain.elements()).ljust(256, b"\0")
-                  for op, fn in (("&", chain.prod), ("->", chain.imp),
-                                 ("/\\", chain.meet), ("\\/", chain.join))}
+        tables = _lane_tables(chain)
         ops = [(tables[op], a, b, out) for op, a, b, out in code]
         refutes = bytes(x != top for x in range(256))
         v = [0] * (2 + k + len(ops))
@@ -935,30 +1039,39 @@ def free_algebra_bruteforce(k: int) -> FreeAlgebraTable:
     Term functions in k variables separate exactly on the (k+3)-element
     chain, so the closure of the projections and the constants inside
     C^(C^k) is the free k-generated algebra.  Only k <= 1 is allowed; k=2
-    already has more than 10^9 elements.
+    already has more than 10^9 elements.  A function is a column, as in
+    is_theorem: one byte lane per point of C^k.  Each round applies every
+    operation, in both orders, to every element paired with every new one
+    at once: the pairs' columns lie side by side in one long column, whose
+    lanes x * size + y go through the operation's 256-byte table.
     """
     if not 0 <= k <= 1:
         raise ValueError(f"free-algebra brute force is only feasible for k <= 1, got {k}")
     chain = DPChain(k + 3)
+    s = chain.size
     points = list(itertools.product(chain.elements(), repeat=k))
-    bottom = tuple(0 for _ in points)
-    unit = tuple(chain.top for _ in points)
-    seed = {bottom, unit}
+    n = len(points)
+    seed = {bytes([0] * n), bytes([chain.top] * n)}
     for i in range(k):
-        seed.add(tuple(p[i] for p in points))
+        seed.add(bytes(p[i] for p in points))
+    tables = _lane_tables(chain).values()
     elems = set(seed)
     frontier = list(seed)
     while frontier:
-        fresh = []
-        for x in list(elems):
-            for y in frontier:
-                for op in (chain.prod, chain.imp, chain.meet, chain.join):
-                    for z in (tuple(map(op, x, y)), tuple(map(op, y, x))):
-                        if z not in elems:
-                            elems.add(z)
-                            fresh.append(z)
-        frontier = fresh
-    return FreeAlgebraTable(k, chain.size, tuple(sorted(elems)))
+        known = list(elems)
+        width = n * len(known) * len(frontier)
+        x = int.from_bytes(b"".join(e * len(frontier) for e in known), "little")
+        y = int.from_bytes(b"".join(frontier) * len(known), "little")
+        fresh: set = set()
+        for lanes in (x * s + y, y * s + x):
+            lanes = lanes.to_bytes(width, "little")
+            for table in tables:
+                out = lanes.translate(table)
+                fresh.update(out[i:i + n] for i in range(0, width, n))
+        fresh -= elems
+        elems |= fresh
+        frontier = list(fresh)
+    return FreeAlgebraTable(k, s, tuple(sorted(map(tuple, elems))))
 
 
 def element_name(chain_size: int, rank: int) -> str:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import sys
-from _json import encode_basestring_ascii as _json_string  # json.dumps's own
 from types import SimpleNamespace
 
 from . import algebra as alg
@@ -25,22 +24,28 @@ EXIT_CAP = 3
 def _json_text(value) -> str:
     """json.dumps(value, sort_keys=True) for the values payloads hold:
     dicts with string keys, lists, strings, bools, None and ints."""
-    if isinstance(value, str):
-        return _json_string(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, dict):
-        return "{" + ", ".join(_json_string(key) + ": " + _json_text(value[key])
-                               for key in sorted(value)) + "}"
-    if isinstance(value, list):
-        return "[" + ", ".join(map(_json_text, value)) + "]"
-    raise TypeError(f"not JSON serializable: {type(value).__name__}")
+    # json.dumps's own string encoder, a C module loaded for --json only
+    from _json import encode_basestring_ascii as string
+
+    def text(value) -> str:
+        if isinstance(value, str):
+            return string(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, dict):
+            return "{" + ", ".join(string(key) + ": " + text(value[key])
+                                   for key in sorted(value)) + "}"
+        if isinstance(value, list):
+            return "[" + ", ".join(map(text, value)) + "]"
+        raise TypeError(f"not JSON serializable: {type(value).__name__}")
+
+    return text(value)
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -183,7 +188,7 @@ def cmd_chains(args) -> int:
     if args.cls == "wnm":
         chains = [c for c in chains if alg.satisfies_axiom(c, "wnm")]
     elif args.cls == "rdp":
-        from . import suites  # loads random; only check and rdp need it
+        from . import suites  # only check and rdp need it
         chains = [c for c in chains if suites.rdp_class(c)]
     elif args.cls == "dp":
         chains = [c for c in chains if alg.is_dp_chain(c)]

@@ -79,6 +79,19 @@ class MultisetObj(Record):
         return "{" + ",".join(f"{l}:{m}" for l, m in self.chains) + "}"
 
 
+# the chains slot's own setter, which Record's refusal of assignment
+# does not reach
+_set_chains = MultisetObj.chains.__set__
+
+
+def _canonical(chains: tuple[tuple[int, int], ...]) -> MultisetObj:
+    # chains already canonical (lengths >= 1 strictly increasing, each with
+    # a positive multiplicity), stored without a second check and sort
+    out = object.__new__(MultisetObj)
+    _set_chains(out, chains)
+    return out
+
+
 EMPTY = MultisetObj()
 
 TERMINAL = MultisetObj.from_lengths([1])
@@ -124,11 +137,14 @@ def product(c: MultisetObj, d: MultisetObj) -> MultisetObj:
     empty object is the empty coproduct, so anything times it is empty.
     """
     merged: dict[int, int] = {}
+    get = merged.get
     for la, ma in c.chains:
         for lb, mb in d.chains:
-            for l, m in _singleton_product(la, lb):
-                merged[l] = merged.get(l, 0) + ma * mb * m
-    return MultisetObj.from_counts(merged)
+            m = ma * mb
+            for l, k in _singleton_product(la, lb):
+                merged[l] = get(l, 0) + m * k
+    # canonical operands give positive counts
+    return _canonical(tuple(sorted(merged.items())))
 
 
 def power(c: MultisetObj, k: int, cap: int = POWER_INSTANCE_CAP) -> MultisetObj:

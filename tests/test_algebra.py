@@ -566,12 +566,121 @@ def test_homomorphism_search_tabulates_and_derives_its_source_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(algebra, name, counted(name))
+    # forget whatever source an earlier test left behind
+    monkeypatch.setattr(algebra, "_last_source", None)
     for src, dst in [(DPChain(4), DPChain(5)), (ProductAlgebra([2, 3]), DPChain(3)),
                      (godel_chain(3), ProductAlgebra([3, 3]))]:
         for name in calls:
             calls[name] = 0
         enumerate_homomorphisms(src, dst)
         assert calls == {"_tabulate": 1, "_derivation": 1}, (src, dst)
+        # an immediate repeat of the source, as an equal but distinct
+        # object and with other targets too, is not analysed again
+        for again in (src, dst, DPChain(2), ProductAlgebra([4, 2])):
+            enumerate_homomorphisms(_equal_copy(src), again)
+        assert calls == {"_tabulate": 1, "_derivation": 1}, (src, dst)
+
+
+def _equal_copy(algebra):
+    # an equal but distinct algebra of the same type
+    if isinstance(algebra, ProductAlgebra):
+        return ProductAlgebra([f.size for f in algebra.factors])
+    if isinstance(algebra, DPChain):
+        return DPChain(algebra.size)
+    return FiniteMTLChain(algebra.product_table)
+
+
+@pytest.mark.parametrize("src, dst", [
+    (ProductAlgebra([3, 3]), ProductAlgebra([4, 3, 4])),
+    (ProductAlgebra([2, 3]), ProductAlgebra([5, 5, 5])),
+    (godel_chain(3), ProductAlgebra([3, 4])),
+    (lukasiewicz_chain(3), ProductAlgebra([3, 4])),
+    (ProductAlgebra([2, 3, 4]), ProductAlgebra([3, 4])),
+    (ProductAlgebra([2, 2, 3]), ProductAlgebra([4, 3])),
+], ids=["[3,3]->[4,3,4]", "[2,3]->[5,5,5]", "godel3->[3,4]", "luk3->[3,4]",
+        "[2,3,4]->[3,4]", "[2,2,3]->[4,3]"])
+def test_homomorphisms_into_a_product_come_factor_by_factor_in_search_order(src, dst):
+    # repeated and unequal factors; the whole list, order included (in the
+    # last two the factors' combinations come in another order unsorted)
+    want = _closure_homs(src, dst)
+    assert len(want) > 0
+    assert enumerate_homomorphisms(src, dst) == want
+
+
+_INTERLEAVED_SOURCES = [ProductAlgebra([2, 3]), godel_chain(3), DPChain(4),
+                        lukasiewicz_chain(3), ProductAlgebra([3, 2])]
+_INTERLEAVED_TARGETS = [DPChain(4), ProductAlgebra([3, 4]), ProductAlgebra([2, 3, 2]),
+                        godel_chain(3), ProductAlgebra([4, 4])]
+
+
+def _interleaved_pairs(seed):
+    # every pair three times over, shuffled, each source an equal but
+    # distinct copy, so a source rarely follows itself
+    pairs = [(i, j) for i in range(len(_INTERLEAVED_SOURCES))
+             for j in range(len(_INTERLEAVED_TARGETS))] * 3
+    random.Random(seed).shuffle(pairs)
+    return [(i, j, _equal_copy(_INTERLEAVED_SOURCES[i])) for i, j in pairs]
+
+
+def test_homomorphism_search_does_not_depend_on_the_sources_before():
+    want = {(i, j): _closure_homs(src, dst)
+            for i, src in enumerate(_INTERLEAVED_SOURCES)
+            for j, dst in enumerate(_INTERLEAVED_TARGETS)}
+    for i, j, src in _interleaved_pairs(8):
+        assert enumerate_homomorphisms(src, _INTERLEAVED_TARGETS[j]) == want[i, j], (i, j)
+
+
+def test_mutating_returned_homomorphisms_changes_no_later_result():
+    src = ProductAlgebra([2, 3])
+    for dst in (DPChain(4), ProductAlgebra([3, 4])):
+        first = enumerate_homomorphisms(src, dst)
+        want = [dict(h) for h in first]
+        for h in first:
+            h[src.top] = "spoilt"
+            del h[src.bot]
+        first.append({})
+        assert enumerate_homomorphisms(src, dst) == want
+        assert enumerate_homomorphisms(ProductAlgebra([2, 3]), dst) == want
+
+
+def test_threads_searching_interleaved_sources_agree_with_a_sequential_run():
+    from concurrent.futures import ThreadPoolExecutor
+
+    pairs = _interleaved_pairs(9)
+    want = [enumerate_homomorphisms(src, _INTERLEAVED_TARGETS[j]) for _, j, src in pairs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(lambda p: enumerate_homomorphisms(p[2], _INTERLEAVED_TARGETS[p[1]]),
+                                pairs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+class _CountingChain(DPChain):
+    __slots__ = ()
+    calls = [0]
+
+    def prod(self, x, y):
+        self.calls[0] += 1
+        return super().prod(x, y)
+
+
+def test_homomorphism_cap_on_a_product_target_runs_no_factor_operation():
+    _CountingChain.calls[0] = 0
+    dst = ProductAlgebra([_CountingChain(5)] * 6)
+    with pytest.raises(CapExceeded, match="15625 generator assignments exceed the cap of 1000"):
+        enumerate_homomorphisms(DPChain(3), dst, cap=1000)
+    assert _CountingChain.calls[0] == 0
+    # the table cap holds for a source analysed just before, too
+    assert len(enumerate_homomorphisms(ProductAlgebra([2, 2]), DPChain(2), cap=64)) == 2
+    with pytest.raises(CapExceeded, match="64 table entries, over the cap of 63"):
+        enumerate_homomorphisms(ProductAlgebra([2, 2]), dst, cap=63)
+    assert _CountingChain.calls[0] == 0
+    assert len(enumerate_homomorphisms(DPChain(3), dst)) == 1
+    assert _CountingChain.calls[0] > 0
 
 
 def test_generating_sets_are_small_and_generate():

@@ -369,21 +369,27 @@ def test_import_footprint():
     # start-up cost is the modules loaded: none of these may be on the
     # import path of `dp`, and the usual requests (canonical command lines,
     # --json among them) load no more of them: argparse, re and json load
-    # only for help, usage errors, JSON operands and axiom schemas
+    # only for help, usage errors, JSON operands and axiom schemas; the C
+    # module _json only for --json output, random only for check axioms
     probe = ("import sys, dplogic.cli\n"
              "heavy = ('dataclasses', 'typing', 'inspect', 'ast', 'dis', "
              "'tokenize', 'shutil', 'random', 'json', 'dplogic.suites', "
-             "'re', 'argparse', 'enum', 'gettext', 'locale')\n"
-             "print(*[m for m in heavy if m in sys.modules])\n"
-             "for argv in (['thm', 'x'], ['thm', '--json', 'x \\\\/ ~x'], "
-             "['free', '3', '--json'], ['dual', 'product', '{3}', '{1,2}'], "
-             "['dual', 'homcount', '{3}', '{2}'], ['chains', '3', '--json']):\n"
+             "'re', 'argparse', 'enum', 'gettext', 'locale', '_json')\n"
+             "print('loaded:', *[m for m in heavy if m in sys.modules])\n"
+             "for argv in (['thm', 'x'], ['dual', 'product', '{3}', '{1,2}'], "
+             "['dual', 'homcount', '{3}', '{2}']):\n"
              "    dplogic.cli.main(argv)\n"
-             "print(*[m for m in heavy if m in sys.modules])\n")
+             "print('loaded:', *[m for m in heavy if m in sys.modules])\n"
+             "for argv in (['thm', '--json', 'x \\\\/ ~x'], "
+             "['free', '3', '--json'], ['chains', '3', '--json']):\n"
+             "    dplogic.cli.main(argv)\n"
+             "print('loaded:', *[m for m in heavy if m in sys.modules])\n"
+             "dplogic.cli.main(['check', 'duality'])\n"
+             "print('loaded:', *[m for m in heavy if m in sys.modules])\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(dplogic.__file__)))
     done = subprocess.run([sys.executable, "-S", "-c", probe], env={"PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
-    lines = done.stdout.splitlines()
+    loaded = [line for line in done.stdout.splitlines() if line.startswith("loaded:")]
     assert done.returncode == 0, done.stderr
-    assert lines[0] == ""
-    assert lines[-1] == ""
+    assert loaded == ["loaded:", "loaded:", "loaded: _json",
+                      "loaded: dplogic.suites _json"]

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dplogic import (
     CapExceeded, MCMorphism, MultisetObj, coproduct, enumerate_homomorphisms,
@@ -13,7 +15,7 @@ from dplogic import (
     surjection_count, top_lift, tr,
 )
 from dplogic.duality import (
-    EMPTY, FREE_ONE_DUAL, TERMINAL, free_dual_closed_form,
+    EMPTY, FREE_ONE_DUAL, TERMINAL, _singleton_product, free_dual_closed_form,
     free_dual_recurrence, monotone_surjections, morphism_to_json,
     multiset_from_json, multiset_from_text, multiset_to_json,
 )
@@ -75,6 +77,33 @@ def test_product_distributes_and_commutes():
             for e in objs:
                 assert (product(c, coproduct(d, e))
                         == coproduct(product(c, d), product(c, e)))
+
+
+def _product_through_from_counts(c, d):
+    # the merged counts through the validating public constructor
+    merged = {}
+    for la, ma in c.chains:
+        for lb, mb in d.chains:
+            for l, m in _singleton_product(la, lb):
+                merged[l] = merged.get(l, 0) + ma * mb * m
+    return MultisetObj.from_counts(merged)
+
+
+_MULTISETS = (st.sampled_from([EMPTY, TERMINAL])
+              | st.dictionaries(st.integers(1, 9), st.integers(0, 10**6), max_size=5)
+              .map(MultisetObj.from_counts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MULTISETS, _MULTISETS)
+def test_product_is_the_canonical_object_from_counts_builds(c, d):
+    out = product(c, d)
+    want = _product_through_from_counts(c, d)
+    assert type(out) is MultisetObj
+    assert out.chains == want.chains
+    assert out == want and hash(out) == hash(want) and repr(out) == repr(want)
+    # canonical: validating it again changes nothing
+    assert MultisetObj(out.chains).chains == out.chains
 
 
 def test_product_is_associative():
