@@ -19,8 +19,8 @@ from collections.abc import Iterable, Mapping
 from functools import cache, reduce
 
 from .formula import (
-    Bot, Compiled, Delta, Formula, Iff, Imp, Min, Neg, Or, Power, Record, Strong,
-    Top, Var, _children, compile, parse,
+    Compiled, Delta, Formula, Iff, Neg, Or, Power, Record, Var, _children,
+    compile, parse,
 )
 from .formula import variables  # noqa: F401  (callers read algebra.variables)
 
@@ -241,54 +241,6 @@ Algebra = DPChain | FiniteMTLChain | ProductAlgebra
 Valuation = Mapping[str, object]
 
 
-def evaluate(f: Formula, algebra: Algebra, valuation: Valuation):
-    """Value of f in the algebra under the valuation.
-
-    /\\ and \\/ are lattice meet and join, & the monoidal product, -> the
-    residuum and 0 the bottom; ~, <-> and powers evaluate through their
-    defining abbreviations.  D requires a DP algebra, where it acts as
-    squaring.
-    """
-    if isinstance(f, Var):
-        try:
-            return valuation[f.name]
-        except KeyError:
-            raise EvaluationError(f"unbound variable {f.name!r}") from None
-    if isinstance(f, Bot):
-        return algebra.bot
-    if isinstance(f, Top):
-        return algebra.top
-    if isinstance(f, Strong):
-        return algebra.prod(evaluate(f.lhs, algebra, valuation),
-                            evaluate(f.rhs, algebra, valuation))
-    if isinstance(f, Min):
-        return algebra.meet(evaluate(f.lhs, algebra, valuation),
-                            evaluate(f.rhs, algebra, valuation))
-    if isinstance(f, Imp):
-        return algebra.imp(evaluate(f.lhs, algebra, valuation),
-                           evaluate(f.rhs, algebra, valuation))
-    if isinstance(f, Neg):
-        return algebra.imp(evaluate(f.arg, algebra, valuation), algebra.bot)
-    if isinstance(f, Or):
-        return algebra.join(evaluate(f.lhs, algebra, valuation),
-                            evaluate(f.rhs, algebra, valuation))
-    if isinstance(f, Iff):
-        a = evaluate(f.lhs, algebra, valuation)
-        b = evaluate(f.rhs, algebra, valuation)
-        return algebra.prod(algebra.imp(a, b), algebra.imp(b, a))
-    if isinstance(f, Delta):
-        if not algebra.supports_delta:
-            raise EvaluationError("D is only defined on DP algebras")
-        return algebra.delta(evaluate(f.arg, algebra, valuation))
-    if isinstance(f, Power):
-        x = evaluate(f.arg, algebra, valuation)
-        out = algebra.top
-        for _ in range(f.n):
-            out = algebra.prod(out, x)
-        return out
-    raise TypeError(f"not a formula: {f!r}")
-
-
 class Verdict(Record):
     """Outcome of a validity sweep; carries a countermodel on failure."""
 
@@ -332,7 +284,7 @@ def _lower(program: Compiled) -> tuple[list[tuple[str, int, int, int]], int]:
 
 
 def _mentions_delta(f: Formula) -> bool:
-    # under a zeroth power too, where compile drops it but evaluate does not
+    # under a zeroth power too, where compile drops it
     stack = [f]
     while stack:
         g = stack.pop()
@@ -342,31 +294,58 @@ def _mentions_delta(f: Formula) -> bool:
     return False
 
 
-def holds(f: Formula, algebra: Algebra, cap: int = DEFAULT_CAP) -> Verdict:
-    """Sweep all valuations; true iff f evaluates to top on every one.
-
-    Valuations come in itertools.product order over the variables in
-    first-occurrence order; the first one whose value is not the top is
-    returned as the countermodel.  Each point is one loop over the
-    compiled formula with the algebra's operations, as evaluate would
-    compute it.
-    """
+def _bound(f: Formula, algebra: Algebra) -> tuple[tuple[str, ...], list, int]:
+    """f lowered with each op bound to the algebra's operation: the
+    variable names, the code (fn, a, b, out) and the root's slot."""
     program = compile(f)
-    names = program.names
-    universe = list(algebra.elements())
-    points = len(universe) ** len(names)
-    if points > cap:
-        raise CapExceeded(f"{points} valuations exceed the cap of {cap}")
     if not algebra.supports_delta and _mentions_delta(f):
         raise EvaluationError("D is only defined on DP algebras")
     ops = {"&": algebra.prod, "->": algebra.imp,
            "/\\": algebra.meet, "\\/": algebra.join}
     code, root = _lower(program)
-    code = [(ops[op], a, b, out) for op, a, b, out in code]
+    return program.names, [(ops[op], a, b, out) for op, a, b, out in code], root
+
+
+def evaluate(f: Formula, algebra: Algebra, valuation: Valuation):
+    """Value of f in the algebra under the valuation.
+
+    /\\ and \\/ are lattice meet and join, & the monoidal product, -> the
+    residuum and 0 the bottom; ~, <-> and powers evaluate through their
+    defining abbreviations.  D requires a DP algebra, where it acts as
+    squaring.  This is one point of the sweep holds makes.
+    """
+    names, code, root = _bound(f, algebra)
+    v = [algebra.bot, algebra.top]
+    for name in names:
+        try:
+            v.append(valuation[name])
+        except KeyError:
+            raise EvaluationError(f"unbound variable {name!r}") from None
+    v += [None] * len(code)
+    for fn, a, b, out in code:
+        v[out] = fn(v[a], v[b])
+    return v[root]
+
+
+def holds(f: Formula, algebra: Algebra, cap: int = DEFAULT_CAP) -> Verdict:
+    """Sweep all valuations; true iff f evaluates to top on every one.
+
+    Valuations come in itertools.product order over the variables in
+    first-occurrence order; the first one whose value is not the top is
+    returned as the countermodel.  Each point is evaluate's loop over the
+    lowered formula.  The |A|^k points are counted before any element of
+    the algebra A is listed.
+    """
+    names, code, root = _bound(f, algebra)
+    k = len(names)
+    points = algebra.size ** k
+    if points > cap:
+        raise CapExceeded(f"{points} valuations exceed the cap of {cap}")
     top = algebra.top
-    v = [algebra.bot, top] + [None] * (len(names) + len(code))
-    for combo in itertools.product(universe, repeat=len(names)):
-        v[2:2 + len(names)] = combo
+    v = [algebra.bot, top] + [None] * (k + len(code))
+    # without variables the one point needs no element listed
+    for combo in itertools.product(algebra.elements() if k else (), repeat=k):
+        v[2:2 + k] = combo
         for fn, a, b, out in code:
             v[out] = fn(v[a], v[b])
         if v[root] != top:
@@ -519,11 +498,10 @@ def is_simple(algebra: Algebra) -> bool:
     contains a principal one, so it suffices that each element below the
     top generates the improper filter.
     """
-    universe = list(algebra.elements())
-    if len(universe) > SIMPLICITY_SIZE_CAP:
+    if algebra.size > SIMPLICITY_SIZE_CAP:
         raise CapExceeded(f"simplicity check capped at {SIMPLICITY_SIZE_CAP} elements")
-    full = len(universe)
-    for a in universe:
+    full = algebra.size
+    for a in algebra.elements():
         if a == algebra.top:
             continue
         if len(principal_filter(algebra, a)) != full:
@@ -956,16 +934,38 @@ def is_theorem(f: Formula, cap: int = DEFAULT_CAP) -> Verdict:
     elements (k >= 14) do not fit a lane and raise CapExceeded whatever
     the cap.
     """
+    program = compile(f)
+    return _exact_sweep(program, len(program.names) + 3, cap)
+
+
+def is_theorem_in_variety(f: Formula, n: int, cap: int = DEFAULT_CAP) -> Verdict:
+    """Validity in V_n, the subvariety generated by the n-element DP-chain.
+
+    C_n generates V_n and its subalgebras are the C_s with s <= n, so by
+    is_theorem's argument f is valid in V_n iff no exact valuation on
+    C_2, ..., C_min(n, k+3) refutes it.  The same sweep decides it, with
+    the same countermodel (the lexicographically first on the smallest
+    refuting chain) and the same cap on exact points; for n >= k+3 the
+    verdict is is_theorem's.
+    """
+    if n < 2:
+        raise ValueError(f"variety index must be >= 2, got {n}")
+    program = compile(f)
+    return _exact_sweep(program, min(n, len(program.names) + 3), cap)
+
+
+def _exact_sweep(program: Compiled, last: int, cap: int) -> Verdict:
+    # the exact valuations of C_2, ..., C_last, column-wise, as is_theorem
+    # describes
     from .duality import free_coefficient  # duality imports this module
 
-    program = compile(f)
     k = len(program.names)
-    sizes = range(2, k + 4)
+    sizes = range(2, last + 1)
     points = sum(free_coefficient(k, s - 1) for s in sizes)
     if points > cap:
         raise CapExceeded(f"{points} valuations exceed the cap of {cap}")
-    if k + 3 > len(_LANE):
-        raise CapExceeded(f"{k} variables need the {k + 3}-element chain; "
+    if last > len(_LANE):
+        raise CapExceeded(f"{k} variables need the {last}-element chain; "
                           f"byte lanes hold chains of at most {len(_LANE)}")
     code, root = _lower(program)
     # the block size that keeps every column of a block within the budget
@@ -991,13 +991,6 @@ def is_theorem(f: Formula, cap: int = DEFAULT_CAP) -> Verdict:
                                {name: col[p] for name, col in zip(program.names, cols)},
                                lanes[p])
     return Verdict(True)
-
-
-def is_theorem_in_variety(f: Formula, n: int, cap: int = DEFAULT_CAP) -> Verdict:
-    """Validity in the subvariety generated by the n-element DP-chain."""
-    if n < 2:
-        raise ValueError(f"variety index must be >= 2, got {n}")
-    return holds(f, DPChain(n), cap)
 
 
 def separating_formula(n: int) -> Formula:

@@ -100,9 +100,7 @@ def cmd_free(args) -> int:
     k = args.k
     payload: dict = {"status": "ok", "k": k, "mode": args.mode}
     lines = []
-    dual = None
-    if args.mode in ("closed", "all"):
-        dual = du.free_dual_closed_form(k)
+    dual = None if args.mode == "power" else du.free_dual_closed_form(k)
     if args.mode in ("power", "all"):
         by_power = du.free_dual(k)
         if dual is not None and by_power != dual:

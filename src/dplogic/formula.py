@@ -271,11 +271,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 _IFF, _IMP, _OR, _AND, _STRONG, _UNARY, _POSTFIX, _ATOM = range(8)
 
 # the deepest formula parse() builds, in levels of the AST.  parse,
-# compile, render and the sweeps in algebra use explicit stacks, so `dp`
-# answers every formula within it; evaluate, expand_derived, ==, hash and
-# repr recurse per level and meet the interpreter's recursion limit (1000
-# frames by default) a few hundred levels down, and input deeper than
-# this is refused before it reaches them.
+# compile, render, expand_derived, and evaluate and the sweeps in algebra
+# use explicit stacks, so they answer every formula within it; ==, hash
+# and repr recurse per level and meet the interpreter's recursion limit
+# (1000 frames by default) a few hundred levels down.  Input deeper than
+# this is refused before it reaches any of them.
 MAX_DEPTH = 1000
 
 # infix token kinds: (node class, binding strength); -> alone is right
@@ -527,36 +527,38 @@ def expand_derived(f: Formula) -> Formula:
     Negation becomes arg -> 0, verum becomes 0 -> 0, disjunction becomes
     ((a -> b) -> b) /\\ ((b -> a) -> a), equivalence becomes
     (a -> b) & (b -> a) and powers unfold into repeated strong conjunction.
-    The projection D has no abbreviation here and is rejected.
+    The projection D has no abbreviation here and is rejected.  Works on
+    an explicit stack, left to right, so any depth expands.
     """
-    if isinstance(f, (Var, Bot)):
-        return f
-    if isinstance(f, Top):
-        return Imp(Bot(), Bot())
-    if isinstance(f, Strong):
-        return Strong(expand_derived(f.lhs), expand_derived(f.rhs))
-    if isinstance(f, Min):
-        return Min(expand_derived(f.lhs), expand_derived(f.rhs))
-    if isinstance(f, Imp):
-        return Imp(expand_derived(f.lhs), expand_derived(f.rhs))
-    if isinstance(f, Neg):
-        return Imp(expand_derived(f.arg), Bot())
-    if isinstance(f, Or):
-        a = expand_derived(f.lhs)
-        b = expand_derived(f.rhs)
-        return Min(Imp(Imp(a, b), b), Imp(Imp(b, a), a))
-    if isinstance(f, Iff):
-        a = expand_derived(f.lhs)
-        b = expand_derived(f.rhs)
-        return Strong(Imp(a, b), Imp(b, a))
-    if isinstance(f, Power):
-        if f.n == 0:
-            return Imp(Bot(), Bot())
-        a = expand_derived(f.arg)
-        out: Formula = a
-        for _ in range(f.n - 1):
-            out = Strong(out, a)
-        return out
-    if isinstance(f, Delta):
-        raise ValueError("the projection operator has no expansion in the base signature")
-    raise TypeError(f"not a formula: {f!r}")
+    done: list[Formula] = []  # the expansions of the finished subformulas
+    stack: list[tuple[Formula, bool]] = [(f, False)]
+    while stack:
+        g, ready = stack.pop()
+        if isinstance(g, Delta):
+            raise ValueError("the projection operator has no expansion in the base signature")
+        if isinstance(g, Top) or isinstance(g, Power) and g.n == 0:
+            done.append(Imp(Bot(), Bot()))
+        elif not ready:
+            children = _children(g)
+            if children:
+                stack.append((g, True))
+                stack.extend((c, False) for c in reversed(children))
+            else:
+                done.append(g)
+        elif isinstance(g, Neg):
+            done.append(Imp(done.pop(), Bot()))
+        elif isinstance(g, Power):
+            a = out = done.pop()
+            for _ in range(g.n - 1):
+                out = Strong(out, a)
+            done.append(out)
+        else:
+            b = done.pop()
+            a = done.pop()
+            if isinstance(g, Or):
+                done.append(Min(Imp(Imp(a, b), b), Imp(Imp(b, a), a)))
+            elif isinstance(g, Iff):
+                done.append(Strong(Imp(a, b), Imp(b, a)))
+            else:
+                done.append(type(g)(a, b))
+    return done.pop()

@@ -10,8 +10,9 @@ from functools import reduce
 import pytest
 
 from dplogic import (
-    CapExceeded, DPChain, EvaluationError, FiniteMTLChain, Iff, Or, Power,
-    ProductAlgebra, Var, delta_axioms, delta_of, discriminator,
+    Bot, CapExceeded, Delta, DPChain, EvaluationError, FiniteMTLChain, Iff, Imp,
+    Min, Neg, Or, Power, ProductAlgebra, Strong, Top, Var, Verdict, delta_axioms,
+    delta_of, discriminator,
     enumerate_homomorphisms, enumerate_mtl_chains, evaluate, find_embedding,
     free_algebra_bruteforce, holds, is_dp_chain, is_simple, is_theorem,
     is_theorem_in_variety, parse, satisfies_axiom, separating_formula,
@@ -122,12 +123,73 @@ def test_holds_rdp_identity_on_dp_chains():
         assert holds(rdp, DPChain(n)).ok
 
 
+def evaluate_by_ladder(f, algebra, valuation):
+    """f's value by recursion over the AST, the evaluator that the compiled
+    one replaced: the oracle for evaluate and holds."""
+    def ev(g):
+        return evaluate_by_ladder(g, algebra, valuation)
+
+    if isinstance(f, Var):
+        try:
+            return valuation[f.name]
+        except KeyError:
+            raise EvaluationError(f"unbound variable {f.name!r}") from None
+    if isinstance(f, Bot):
+        return algebra.bot
+    if isinstance(f, Top):
+        return algebra.top
+    if isinstance(f, Neg):
+        return algebra.imp(ev(f.arg), algebra.bot)
+    if isinstance(f, Delta):
+        if not algebra.supports_delta:
+            raise EvaluationError("D is only defined on DP algebras")
+        return algebra.delta(ev(f.arg))
+    if isinstance(f, Power):
+        x, out = ev(f.arg), algebra.top
+        for _ in range(f.n):
+            out = algebra.prod(out, x)
+        return out
+    a, b = ev(f.lhs), ev(f.rhs)
+    if isinstance(f, Iff):
+        return algebra.prod(algebra.imp(a, b), algebra.imp(b, a))
+    ops = {Strong: algebra.prod, Min: algebra.meet, Imp: algebra.imp, Or: algebra.join}
+    return ops[type(f)](a, b)
+
+
+def test_evaluate_matches_the_recursive_evaluator():
+    from test_formula import random_formula
+    rng = random.Random(41017)
+    algebras = [DPChain(n) for n in range(2, 7)] + [
+        godel_chain(4), lukasiewicz_chain(5), SUBIDEMPOTENT4, NM4,
+        ProductAlgebra([2, 4]), ProductAlgebra([3, 3, 2])]
+    values = errors = 0
+    for _ in range(400):
+        f = random_formula(rng, rng.randrange(1, 8))
+        names = variables(f)
+        for algebra in algebras:
+            elems = list(algebra.elements())
+            v = {name: rng.choice(elems) for name in names}
+            if names and rng.random() < 0.1:
+                del v[rng.choice(names)]
+            try:
+                want = evaluate_by_ladder(f, algebra, v)
+            except EvaluationError:
+                with pytest.raises(EvaluationError):
+                    evaluate(f, algebra, v)
+                errors += 1
+                continue
+            assert evaluate(f, algebra, v) == want, (str(f), algebra, v)
+            values += 1
+    # D on the MTL-chains and unbound variables are both well represented
+    assert values > 2500 and errors > 600
+
+
 def holds_by_evaluate(f, algebra):
     """holds as a sweep of the recursive evaluator: the oracle."""
     names = variables(f)
     for combo in itertools.product(list(algebra.elements()), repeat=len(names)):
         v = dict(zip(names, combo))
-        value = evaluate(f, algebra, v)
+        value = evaluate_by_ladder(f, algebra, v)
         if value != algebra.top:
             return (False, algebra, v, value)
     return (True, None, None, None)
@@ -158,6 +220,20 @@ def test_holds_matches_a_sweep_of_evaluate():
 def test_holds_cap():
     with pytest.raises(CapExceeded):
         holds(parse("x & y & z"), DPChain(7), cap=100)
+
+
+def test_caps_are_checked_before_any_element_is_listed(monkeypatch):
+    def listed(self):
+        raise AssertionError("the elements were listed")
+    monkeypatch.setattr(DPChain, "elements", listed)
+    huge = DPChain(10**12)
+    with pytest.raises(CapExceeded):
+        holds(parse("x"), huge)
+    with pytest.raises(CapExceeded):
+        is_simple(huge)
+    # a formula without variables is one point, whatever the algebra
+    verdict = holds(parse("1 -> 0"), huge, cap=1)
+    assert (verdict.ok, verdict.valuation, verdict.value) == (False, {}, 0)
 
 
 def test_residuation_law_everywhere():
@@ -929,6 +1005,58 @@ def test_is_theorem_in_variety():
     assert not is_theorem_in_variety(em, 3).ok
     with pytest.raises(ValueError):
         is_theorem_in_variety(em, 1)
+
+
+def fields(verdict):
+    return (verdict.ok, verdict.algebra, verdict.valuation, verdict.value)
+
+
+def test_variety_verdicts_match_sweeps_of_holds():
+    from test_formula import random_formula
+    rng = random.Random(70913)
+    formulas = [random_formula(rng, rng.randrange(1, 7), names=["x", "y", "z", "w"])
+                for _ in range(150)]
+    formulas += [separating_formula(n) for n in (2, 3, 4)]
+    formulas += [parse(t) for t in ("x \\/ ~x", "1", "0", "D 1")]
+    refuted = {n: 0 for n in range(2, 8)}
+    for f in formulas:
+        k = len(variables(f))
+        # C_2, ..., C_7 swept whole, point by point
+        full = {size: holds(f, DPChain(size)) for size in range(2, 8)}
+        for n in range(2, 8):
+            got = is_theorem_in_variety(f, n)
+            assert got.ok == full[n].ok, (str(f), n)
+            # the lexicographically first countermodel on the smallest
+            # refuting chain of size <= n
+            want = next((full[s] for s in range(2, n + 1) if not full[s].ok),
+                        Verdict(True))
+            assert fields(got) == fields(want), (str(f), n)
+            if n >= k + 3:
+                assert fields(got) == fields(is_theorem(f)), (str(f), n)
+            refuted[n] += not got.ok
+    # both outcomes are well represented in every variety
+    assert all(30 < r < len(formulas) - 30 for r in refuted.values()), refuted
+
+
+def test_variety_cap_counts_exact_points():
+    # V_6 on 7 variables sweeps the exact valuations of C_2, ..., C_6:
+    # 156 454 points, where all of C_6 has 6^7 = 279 936
+    f = separating_formula(6)
+    assert is_theorem_in_variety(f, 6, cap=156_454).ok
+    with pytest.raises(CapExceeded, match="156454 valuations"):
+        is_theorem_in_variety(f, 6, cap=156_453)
+    with pytest.raises(CapExceeded):
+        holds(f, DPChain(6), cap=160_000)
+
+
+def test_a_formula_at_the_depth_limit_is_evaluated_expanded_and_decided():
+    from dplogic import expand_derived
+    f = parse("~" * 999 + "x")
+    g = expand_derived(f)
+    chain = DPChain(3)
+    for h in (f, g):
+        assert [evaluate(h, chain, {"x": a}) for a in chain.elements()] == [2, 1, 0]
+    assert fields(is_theorem_in_variety(f, 3)) == (False, DPChain(2), {"x": 1}, 0)
 
 
 def test_decision_procedure_matches_full_sweep():

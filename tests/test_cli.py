@@ -51,6 +51,14 @@ def test_thm_variety_two_is_boolean(capsys):
     assert payload["variety"] == 2
 
 
+def test_thm_variety_sweeps_only_the_chains_it_needs(capsys):
+    # one variable in V_(10^9) is decided on C_2, C_3 and C_4, and the
+    # countermodel is on the smallest refuting chain
+    code, payload, _ = run_json(capsys, "thm", "--variety", str(10**9), "x \\/ ~x")
+    assert code == 1
+    assert payload["witness"]["algebra"] == {"type": "dp_chain", "size": 3}
+
+
 def test_thm_parse_error_exits_two(capsys):
     code, _, err = run(capsys, "thm", "x \\/ ")
     assert code == 2
@@ -102,6 +110,17 @@ def test_free_zero(capsys):
     assert code == 0
     assert payload["cardinality"] == "2"
     assert multiset_from_json(payload["dual"]) == MultisetObj.from_lengths([1])
+
+
+def test_free_oracle_mode(capsys):
+    for k, count in ((0, 2), (1, 48)):
+        code, payload, _ = run_json(capsys, "free", str(k), "--mode", "oracle")
+        assert code == 0
+        assert payload["oracle_count"] == count
+        assert payload["cardinality"] == str(count)
+    code, out, _ = run(capsys, "free", "2", "--mode", "oracle")
+    assert code == 0
+    assert out.endswith("brute-force oracle skipped (needs k <= 1)\n")
 
 
 def test_free_two_cross_checks_modes(capsys):

@@ -155,6 +155,46 @@ def test_expansion_rejects_delta():
         expand_derived(Delta(Var("x")))
 
 
+def expand_by_ladder(f):
+    """expand_derived as the recursion it replaced: the oracle."""
+    if isinstance(f, (Var, Bot)):
+        return f
+    if isinstance(f, Top) or isinstance(f, Power) and f.n == 0:
+        return Imp(Bot(), Bot())
+    if isinstance(f, Delta):
+        raise ValueError("no expansion of D")
+    if isinstance(f, Neg):
+        return Imp(expand_by_ladder(f.arg), Bot())
+    if isinstance(f, Power):
+        a = expand_by_ladder(f.arg)
+        return reduce(Strong, [a] * f.n)
+    a, b = expand_by_ladder(f.lhs), expand_by_ladder(f.rhs)
+    if isinstance(f, Or):
+        return Min(Imp(Imp(a, b), b), Imp(Imp(b, a), a))
+    if isinstance(f, Iff):
+        return Strong(Imp(a, b), Imp(b, a))
+    return type(f)(a, b)
+
+
+def test_expansion_matches_the_recursive_expansion():
+    rng = random.Random(80221)
+    rejected = 0
+    for _ in range(400):
+        f = random_formula(rng, rng.randrange(1, 8))
+        try:
+            want = expand_by_ladder(f)
+        except ValueError:
+            with pytest.raises(ValueError):
+                expand_derived(f)
+            rejected += 1
+            continue
+        assert expand_derived(f) == want, str(f)
+    # D is rejected, except under a zeroth power
+    assert 50 < rejected < 350
+    with pytest.raises(TypeError):
+        expand_derived(Strong(Var("x"), "y"))
+
+
 def _primitive_only(f):
     if isinstance(f, (Var, Bot)):
         return True
