@@ -8,8 +8,9 @@ coatom.  General finite MTL-chains are given by an explicit product table
 and get their residuum computed.  Finite products of drastic-product
 chains act pointwise on rank tuples.
 
-All algebra values are immutable and evaluation sweeps are pure, so
-everything here is safe to share between threads.
+All algebra values are immutable, and sweeps and searches are pure and
+keep nothing between calls, so everything here is safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -541,13 +542,6 @@ def find_embedding(b: DPChain, a: DPChain) -> tuple[int, ...] | None:
     return tuple(range(b.size - 2)) + (a.coatom, a.top)
 
 
-def _check_table_cap(algebra: Algebra, cap: int) -> None:
-    entries = 4 * algebra.size ** 2
-    if entries > cap:
-        raise CapExceeded(f"tabulating {algebra.size} elements takes {entries} "
-                          f"table entries, over the cap of {cap}")
-
-
 def _tabulate(algebra: Algebra,
               cap: int = DEFAULT_CAP) -> tuple[list, dict, list[list[int]]]:
     """Number the elements and tabulate *, =>, meet and join on the numbers.
@@ -556,7 +550,10 @@ def _tabulate(algebra: Algebra,
     elements x and y.  The tables hold 4 n^2 entries; when that exceeds
     cap, CapExceeded is raised before any is built.
     """
-    _check_table_cap(algebra, cap)
+    entries = 4 * algebra.size ** 2
+    if entries > cap:
+        raise CapExceeded(f"tabulating {algebra.size} elements takes {entries} "
+                          f"table entries, over the cap of {cap}")
     elems = list(algebra.elements())
     index = {e: i for i, e in enumerate(elems)}
     if not isinstance(algebra, ProductAlgebra):
@@ -654,111 +651,55 @@ class _OnDemand(dict):
         return c
 
 
-class _Source:
-    """What the homomorphism search knows of one source algebra.
-
-    Its elements, numbered and tabulated once; the greedy generators and
-    the straight-line program deriving every other element from them; the
-    checks that verify a candidate map, per target size; and, per target
-    chain, the homomorphisms found, each as a tuple of images in element
-    number order.  The per-target dicts are emptied when they reach
-    _TARGETS_KEPT entries, so a source asked about many targets holds
-    only the recent ones.
-    """
-
-    __slots__ = ("algebra", "elems", "gens", "bot", "top", "program",
-                 "order", "tables", "checks", "homs")
-
-    def __init__(self, algebra: Algebra, cap: int):
-        elems, index, tables = _tabulate(algebra, cap)
-        # the greedy generators, as generating_set picks them; the program
-        # derives each other element from those reached before it
-        g, order, self.program = _derivation(algebra, index, tables)
-        # pairs of the generators and of early-derived elements first, and
-        # the elements reached before the first generator (0, top and what
-        # they derive), which every candidate maps alike, last: wrong
-        # candidates fail sooner
-        first = order.index(g[0]) if g else len(order)
-        self.order = g + [x for x in order[first:] if x not in g] + order[:first]
-        self.algebra, self.elems, self.gens, self.tables = algebra, elems, g, tables
-        self.bot, self.top = index[algebra.bot], index[algebra.top]
-        self.checks: dict[int, list] = {}
-        self.homs: dict = {}
-
-    def _checks(self, m: int) -> list[tuple[int, int, int, int]]:
-        # (t * m * m, x, y, op_t(x, y)) for every pair of elements, in both
-        # orders, and every operation t, as keys into an m-element target
-        checks = self.checks.get(m)
-        if checks is None:
-            n, order, mm = len(self.elems), self.order, m * m
-            checks = [(t * mm, x, y, table[x * n + y])
-                      for p, z in enumerate(order) for w in order[:p + 1]
-                      for x, y in ((z, w), (w, z))
-                      for t, table in enumerate(self.tables)]
-            _keep(self.checks, m, checks)
-        return checks
-
-    def homs_into(self, dst: Algebra) -> list[tuple]:
-        """The homomorphisms into dst, as image tuples, in the order of
-        their generator images."""
-        key = (type(dst), dst)
-        homs = self.homs.get(key)
-        if homs is None:
-            homs = self._search(dst)
-            _keep(self.homs, key, homs)
-        return homs
-
-    def _search(self, dst: Algebra) -> list[tuple]:
-        g, m = self.gens, dst.size
-        dst_ops = _OnDemand(dst, m)
-        # dst_ops[t * m * m + a * m + b] is op_t on dst's elements a and b
-        steps = [(t * m * m, x, y, z) for t, x, y, z in self.program]
-        checks = self._checks(m)
-        h = [0] * len(self.elems)
-        h[self.bot] = dst_ops.number(dst.bot)
-        h[self.top] = dst_ops.number(dst.top)
-        values = dst_ops.values
-        found = []
-        # without generators the one candidate needs no element of dst listed
-        images = [dst_ops.number(v) for v in dst.elements()] if g else []
-        for choice in itertools.product(images, repeat=len(g)):
-            for x, a in zip(g, choice):
-                h[x] = a
-            for k, x, y, z in steps:
-                h[z] = dst_ops[k + h[x] * m + h[y]]
-            for k, x, y, z in checks:
-                if dst_ops[k + h[x] * m + h[y]] != h[z]:
-                    break
-            else:
-                found.append(tuple([values[i] for i in h]))
-        return found
+def _analyse(src: Algebra, cap: int) -> tuple:
+    """What the homomorphism search needs of src: its elements, greedy
+    generators, bottom and top numbers, derivation program and checks."""
+    elems, index, tables = _tabulate(src, cap)
+    # the greedy generators, as generating_set picks them; the program
+    # derives each other element from those reached before it
+    g, order, program = _derivation(src, index, tables)
+    # a check (t, x, y, op_t(x, y)) for every pair, in both orders, and
+    # every operation: pairs of the generators and of early-derived
+    # elements first, and the elements reached before the first generator
+    # (0, top and what they derive), which every candidate maps alike,
+    # last, so wrong candidates fail sooner
+    first = order.index(g[0]) if g else len(order)
+    order = g + [x for x in order[first:] if x not in g] + order[:first]
+    n = len(elems)
+    checks = [(t, x, y, table[x * n + y])
+              for p, z in enumerate(order) for w in order[:p + 1]
+              for x, y in ((z, w), (w, z)) for t, table in enumerate(tables)]
+    return elems, g, index[src.bot], index[src.top], program, checks
 
 
-# entries a _Source keeps per target size and per target chain
-_TARGETS_KEPT = 16
-
-
-def _keep(memo: dict, key, value) -> None:
-    if len(memo) >= _TARGETS_KEPT:
-        memo.clear()
-    memo[key] = value
-
-
-# the last source analysed, replaced whole; threads share it without a
-# lock, since a race between them at worst repeats an analysis or a search
-_last_source: _Source | None = None
-
-
-def _analysed(src: Algebra, cap: int) -> _Source:
-    """The analysis of src, from the slot when src was the last source;
-    src's table cap is checked either way."""
-    global _last_source
-    last = _last_source
-    if last is None or type(last.algebra) is not type(src) or last.algebra != src:
-        last = _last_source = _Source(src, cap)
-    else:
-        _check_table_cap(src, cap)
-    return last
+def _search(source: tuple, dst: Algebra) -> list[tuple]:
+    # the homomorphisms from the analysed source into dst, as image tuples
+    # in element number order, in the order of their generator images
+    elems, g, bot, top, program, checks = source
+    m = dst.size
+    mm = m * m
+    dst_ops = _OnDemand(dst, m)
+    # dst_ops[t * m * m + a * m + b] is op_t on dst's elements a and b
+    steps = [(t * mm, x, y, z) for t, x, y, z in program]
+    checks = [(t * mm, x, y, z) for t, x, y, z in checks]
+    h = [0] * len(elems)
+    h[bot] = dst_ops.number(dst.bot)
+    h[top] = dst_ops.number(dst.top)
+    values = dst_ops.values
+    found = []
+    # without generators the one candidate needs no element of dst listed
+    images = [dst_ops.number(v) for v in dst.elements()] if g else []
+    for choice in itertools.product(images, repeat=len(g)):
+        for x, a in zip(g, choice):
+            h[x] = a
+        for k, x, y, z in steps:
+            h[z] = dst_ops[k + h[x] * m + h[y]]
+        for k, x, y, z in checks:
+            if dst_ops[k + h[x] * m + h[y]] != h[z]:
+                break
+        else:
+            found.append(tuple([values[i] for i in h]))
+    return found
 
 
 def enumerate_homomorphisms(src: Algebra, dst: Algebra,
@@ -777,33 +718,30 @@ def enumerate_homomorphisms(src: Algebra, dst: Algebra,
     A map into a ProductAlgebra is a homomorphism iff each coordinate is,
     so the search runs once per distinct factor, and the maps are the
     combinations of the factors' homomorphisms, sorted by generator images
-    as a search over the whole product would list them.  What is learnt
-    of a source (tables, program, checks, homomorphisms per target chain)
-    is kept for the last source asked about, so asking about one source
-    for several targets in a row analyses it once; the lists returned are
-    the caller's own.
+    as a search over the whole product would list them.  Nothing is kept
+    between calls.
 
     The cap applies to the 4 |src|^2 entries of src's tables, checked
     before they are built, and to the |dst|^g assignments of dst's
     elements to the g generators, checked before any dst operation runs.
     """
-    source = _analysed(src, cap)
-    tries = dst.size ** len(source.gens)
+    source = _analyse(src, cap)
+    elems, g = source[:2]
+    tries = dst.size ** len(g)
     if tries > cap:
         raise CapExceeded(f"{tries} generator assignments exceed the cap of {cap}")
-    elems = source.elems
     if not isinstance(dst, ProductAlgebra):
-        return [dict(zip(elems, h)) for h in source.homs_into(dst)]
-    per_factor = [source.homs_into(f) for f in dst.factors]
+        return [dict(zip(elems, h)) for h in _search(source, dst)]
+    homs = {f: _search(source, f) for f in set(dst.factors)}
     # each map as a list of images, an image being a tuple over the factors
-    maps = [list(zip(*coords)) for coords in itertools.product(*per_factor)]
-    g = source.gens
+    maps = [list(zip(*coords))
+            for coords in itertools.product(*[homs[f] for f in dst.factors])]
     maps.sort(key=lambda h: [h[x] for x in g])
     return [dict(zip(elems, h)) for h in maps]
 
 
 # a column of n points is an n-byte string, one byte (lane) per point
-_LANE = [bytes((x,)) for x in range(16)]
+_LANE = tuple(bytes((x,)) for x in range(16))
 
 # what the columns of one block may take together, in bytes
 _BLOCK_BYTES = 1 << 20
@@ -960,13 +898,15 @@ def _exact_sweep(program: Compiled, last: int, cap: int) -> Verdict:
     from .duality import free_coefficient  # duality imports this module
 
     k = len(program.names)
+    # the lane limit first: it refuses a wide formula whatever the cap,
+    # without summing its huge point count
+    if last > len(_LANE):
+        raise CapExceeded(f"{k} variables need the {last}-element chain; "
+                          f"byte lanes hold chains of at most {len(_LANE)}")
     sizes = range(2, last + 1)
     points = sum(free_coefficient(k, s - 1) for s in sizes)
     if points > cap:
         raise CapExceeded(f"{points} valuations exceed the cap of {cap}")
-    if last > len(_LANE):
-        raise CapExceeded(f"{k} variables need the {last}-element chain; "
-                          f"byte lanes hold chains of at most {len(_LANE)}")
     code, root = _lower(program)
     # the block size that keeps every column of a block within the budget
     limit = max(1, _BLOCK_BYTES // (2 + k + len(code)))

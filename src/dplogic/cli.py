@@ -100,17 +100,21 @@ def cmd_free(args) -> int:
     k = args.k
     payload: dict = {"status": "ok", "k": k, "mode": args.mode}
     lines = []
-    dual = None if args.mode == "power" else du.free_dual_closed_form(k)
-    if args.mode in ("power", "all"):
-        by_power = du.free_dual(k)
-        if dual is not None and by_power != dual:
-            return _route_error("closed form and power disagree")
-        dual = by_power
+    # a k above the caps is refused before the closed form's O(k^2)
+    # big-integer sums: by power's instance cap in the power and all
+    # modes, by free_cardinality's k cap (and for a negative k with the
+    # closed form's message) in the others
+    by_power = args.mode == "power" or (args.mode == "all" and k >= 0)
+    cardinality = None if by_power else du.free_cardinality(k)
+    dual = du.free_dual(k) if by_power else du.free_dual_closed_form(k)
+    if args.mode == "all" and dual != du.free_dual_closed_form(k):
+        return _route_error("closed form and power disagree")
     if args.mode == "all" and dual != du.free_dual_recurrence(k):
         return _route_error("recurrence disagrees")
     payload["dual"] = du.multiset_to_json(dual)
     payload["coefficients"] = {str(l): m for l, m in dual.chains}
-    cardinality = du.free_cardinality(k)
+    if cardinality is None:
+        cardinality = du.free_cardinality(k)
     payload["cardinality"] = str(cardinality)
     lines.append(f"free algebra on {k} generator(s): dual {dual}")
     lines.append(f"cardinality {cardinality}")

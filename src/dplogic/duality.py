@@ -115,26 +115,22 @@ def _singleton_product(a: int, b: int) -> tuple[tuple[int, int], ...]:
     # product of two single chains; commutative, so normalize the order
     if a > b:
         a, b = b, a
-    if a == 1:
+    if a <= 2:
         return ((b, 1),)
-    if a == 2:
-        return ((b, 1),)
-    parts = [_singleton_product(a, b - 1),
-             _singleton_product(a - 1, b - 1),
-             _singleton_product(a - 1, b)]
-    merged: dict[int, int] = {}
-    for part in parts:
-        for l, m in part:
-            merged[l + 1] = merged.get(l + 1, 0) + m
-    return tuple(sorted(merged.items()))
+    # the closed form that product describes, shortest length first
+    return tuple((a + b - 2 - d,
+                  math.comb(a + b - 4 - d, d) * math.comb(a + b - 4 - 2 * d, a - 2 - d))
+                 for d in range(a - 2, -1, -1))
 
 
 def product(c: MultisetObj, d: MultisetObj) -> MultisetObj:
-    """Categorical product: distribute over the multiset, then recurse.
+    """Categorical product: distribute over the multiset, then multiply
+    single chains.
 
-    Single chains multiply by {a} x {1} = {a}, {a} x {2} = {a} for a >= 2,
-    and for a, b >= 3 by lifting the three products of predecessors.  The
-    empty object is the empty coproduct, so anything times it is empty.
+    {a} x {1} = {a}, {a} x {2} = {a} for a >= 2, and for 3 <= a <= b,
+    solving the recursion that lifts the three products of predecessors,
+    {a} x {b} has C(a+b-4-d, d) C(a+b-4-2d, a-2-d) chains of length
+    a+b-2-d for d = 0..a-2.  Anything times the empty object is empty.
     """
     merged: dict[int, int] = {}
     get = merged.get

@@ -10,6 +10,7 @@ one another on exhaustively checkable instances.
 from __future__ import annotations
 
 import itertools
+import math
 
 from . import algebra as alg
 from . import duality as du
@@ -193,13 +194,16 @@ def duality_suite() -> list[CheckRow]:
     rows.append(_row("closed-form morphism count matches enumeration", ok))
 
     ok = True
-    # sources outermost: the search analyses each source once for its
-    # nine targets
+    # homomorphisms into a product are the tuples of homomorphisms into
+    # its factors, the chains of sizes l + 1, so each source is searched
+    # once per chain length
+    lengths = sorted({l for c in nonempty for l in c.lengths()})
     for d in nonempty:
         src = du.mc_inverse(d)
+        into = {l: len(alg.enumerate_homomorphisms(src, alg.DPChain(l + 1)))
+                for l in lengths}
         for c in nonempty:
-            homs = alg.enumerate_homomorphisms(src, du.mc_inverse(c))
-            if du.morphism_count(c, d) != len(homs):
+            if du.morphism_count(c, d) != math.prod(into[l] for l in c.lengths()):
                 ok = False
     rows.append(_row("dual hom counts match algebra homomorphisms", ok,
                      f"{len(nonempty)}^2 object pairs"))

@@ -642,19 +642,32 @@ def test_homomorphism_search_tabulates_and_derives_its_source_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(algebra, name, counted(name))
-    # forget whatever source an earlier test left behind
-    monkeypatch.setattr(algebra, "_last_source", None)
     for src, dst in [(DPChain(4), DPChain(5)), (ProductAlgebra([2, 3]), DPChain(3)),
                      (godel_chain(3), ProductAlgebra([3, 3]))]:
         for name in calls:
             calls[name] = 0
         enumerate_homomorphisms(src, dst)
         assert calls == {"_tabulate": 1, "_derivation": 1}, (src, dst)
-        # an immediate repeat of the source, as an equal but distinct
-        # object and with other targets too, is not analysed again
-        for again in (src, dst, DPChain(2), ProductAlgebra([4, 2])):
-            enumerate_homomorphisms(_equal_copy(src), again)
-        assert calls == {"_tabulate": 1, "_derivation": 1}, (src, dst)
+
+
+def test_homomorphism_search_leaves_the_module_globals_as_they_were():
+    from dplogic import algebra
+
+    def snapshot():
+        # each global, and a shallow copy of any container's contents
+        return {name: (value, list(value.items()) if isinstance(value, dict)
+                       else list(value) if isinstance(value, (list, set)) else None)
+                for name, value in vars(algebra).items()}
+
+    before = snapshot()
+    for src, dst in [(DPChain(4), DPChain(5)), (ProductAlgebra([2, 3]), ProductAlgebra([3, 4, 3])),
+                     (godel_chain(3), ProductAlgebra([3, 3]))]:
+        enumerate_homomorphisms(src, dst)
+    after = snapshot()
+    assert after.keys() == before.keys()
+    for name, (value, contents) in before.items():
+        assert after[name][0] is value, name
+        assert after[name][1] == contents, name
 
 
 def _equal_copy(algebra):
@@ -987,6 +1000,27 @@ def test_chains_above_sixteen_elements_raise_before_any_evaluation(monkeypatch):
     narrow = reduce(Or, [Var(f"x{i}") for i in range(13)])
     with pytest.raises(AssertionError, match="the sweep started"):
         is_theorem(narrow, cap=10**20)
+
+
+def _balanced_or(names):
+    # a disjunction of the names as a balanced tree, shallow however many
+    if len(names) == 1:
+        return Var(names[0])
+    half = len(names) // 2
+    return Or(_balanced_or(names[:half]), _balanced_or(names[half:]))
+
+
+def test_wide_formulas_meet_the_lane_limit_before_their_point_count(monkeypatch):
+    from dplogic import duality
+
+    def no_count(*args):
+        raise AssertionError("the points were counted")
+    monkeypatch.setattr(duality, "free_coefficient", no_count)
+    wide = _balanced_or([f"x{i}" for i in range(2000)])
+    with pytest.raises(CapExceeded, match="2003-element chain"):
+        is_theorem(wide)
+    with pytest.raises(CapExceeded, match="2003-element chain"):
+        is_theorem_in_variety(wide, 10**9)
 
 
 def test_is_theorem_cap_counts_exact_valuations():

@@ -146,6 +146,15 @@ def test_free_cap_exits_three(capsys):
     assert "cap" in err.lower()
 
 
+@pytest.mark.parametrize("mode", ["closed", "power", "oracle", "all"])
+def test_free_far_above_the_caps_exits_three_at_once(capsys, mode):
+    # the closed form's sums for k = 3000 would run for minutes; each mode
+    # refuses k first, with the message it gives k = 13
+    want = run(capsys, "free", "13", "--mode", mode)
+    assert want[0] == 3 and want[1] == ""
+    assert run(capsys, "free", "3000", "--mode", mode) == want
+
+
 def test_free_six_renders_huge_cardinality(capsys):
     # the value has ~29k digits, past the interpreter's default
     # int-to-str conversion guard
@@ -161,6 +170,14 @@ def test_dual_product(capsys):
     assert code == 0
     assert multiset_from_json(payload["result"]) == MultisetObj.from_lengths(
         [3, 4, 4])
+
+
+def test_dual_product_of_long_chains_answers_without_recursion(capsys):
+    # lengths far past what a recursion over them could reach
+    assert run(capsys, "dual", "product", "{3}", "{500}") == (0, "{500:498,501:499}\n", "")
+    code, out, err = run(capsys, "dual", "power", "{300}", "2")
+    assert code == 3 and out == ""
+    assert err == "error: power result exceeds the cap of 1000000 chain instances\n"
 
 
 def test_dual_product_accepts_json_operands(capsys):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -79,12 +80,35 @@ def test_product_distributes_and_commutes():
                         == coproduct(product(c, d), product(c, e)))
 
 
+@cache
+def singleton_product_by_recursion(a, b):
+    # {a} x {b} as the category's lifting recursion builds it:
+    # top_lift({a} x {b-1} + {a-1} x {b-1} + {a-1} x {b}) for a, b >= 3
+    if a > b:
+        a, b = b, a
+    if a <= 2:
+        return ((b, 1),)
+    merged = {}
+    for part in (singleton_product_by_recursion(a, b - 1),
+                 singleton_product_by_recursion(a - 1, b - 1),
+                 singleton_product_by_recursion(a - 1, b)):
+        for l, m in part:
+            merged[l + 1] = merged.get(l + 1, 0) + m
+    return tuple(sorted(merged.items()))
+
+
+def test_singleton_product_closed_form_matches_the_recursion():
+    for a in range(1, 61):
+        for b in range(1, 61):
+            assert _singleton_product(a, b) == singleton_product_by_recursion(a, b), (a, b)
+
+
 def _product_through_from_counts(c, d):
-    # the merged counts through the validating public constructor
+    # the recursion's counts merged through the validating public constructor
     merged = {}
     for la, ma in c.chains:
         for lb, mb in d.chains:
-            for l, m in _singleton_product(la, lb):
+            for l, m in singleton_product_by_recursion(la, lb):
                 merged[l] = merged.get(l, 0) + ma * mb * m
     return MultisetObj.from_counts(merged)
 
