@@ -16,6 +16,7 @@ threads.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Mapping
 from functools import cache, reduce
 
@@ -38,19 +39,23 @@ class EvaluationError(ValueError):
     """Unbound variable, or the projection D applied outside a DP algebra."""
 
 
-class DPChain(Record):
-    """The n-element drastic-product chain (n >= 2)."""
+def _count_text(n: int) -> str:
+    """A point count for a CapExceeded message: in full up to 20 digits,
+    else bounded, as "at least" its first four digits in e-notation."""
+    if n < 10**20:
+        return str(n)
+    e = int(math.log10(n))  # the float may land one off near a power of ten
+    e += (10 ** (e + 1) <= n) - (10 ** e > n)
+    lead = str(n // 10 ** (e - 3))
+    return f"at least {lead[0]}.{lead[1:]}e{e}"
 
-    __slots__ = ("size",)
-    size: int
 
-    def __post_init__(self):
-        if self.size < 2:
-            raise ValueError(f"chain needs at least 2 elements, got {self.size}")
+class _Chain:
+    """What every finite chain shares: ranks 0..size-1 ordered as numbers,
+    with min and max as the lattice operations and ~x = x -> 0."""
 
-    @property
-    def bot(self) -> int:
-        return 0
+    __slots__ = ()
+    bot = 0
 
     @property
     def top(self) -> int:
@@ -61,10 +66,29 @@ class DPChain(Record):
         # for the two-element chain the coatom is the bottom
         return self.size - 2
 
-    supports_delta = True
-
     def elements(self) -> range:
         return range(self.size)
+
+    def meet(self, x: int, y: int) -> int:
+        return min(x, y)
+
+    def join(self, x: int, y: int) -> int:
+        return max(x, y)
+
+    def neg(self, x: int) -> int:
+        return self.imp(x, 0)
+
+
+class DPChain(_Chain, Record):
+    """The n-element drastic-product chain (n >= 2)."""
+
+    __slots__ = ("size",)
+    size: int
+    supports_delta = True
+
+    def __post_init__(self):
+        if self.size < 2:
+            raise ValueError(f"chain needs at least 2 elements, got {self.size}")
 
     def prod(self, x: int, y: int) -> int:
         if x < self.top and y < self.top:
@@ -78,20 +102,11 @@ class DPChain(Record):
             return self.coatom
         return y
 
-    def meet(self, x: int, y: int) -> int:
-        return min(x, y)
-
-    def join(self, x: int, y: int) -> int:
-        return max(x, y)
-
-    def neg(self, x: int) -> int:
-        return self.imp(x, 0)
-
     def delta(self, x: int) -> int:
         return self.prod(x, x)
 
 
-class FiniteMTLChain:
+class FiniteMTLChain(_Chain):
     """A finite MTL-chain given by its monoidal product table.
 
     The table must be commutative, associative, monotone in each argument
@@ -135,35 +150,11 @@ class FiniteMTLChain:
             for x in range(n)
         )
 
-    @property
-    def bot(self) -> int:
-        return 0
-
-    @property
-    def top(self) -> int:
-        return self.size - 1
-
-    @property
-    def coatom(self) -> int:
-        return self.size - 2
-
-    def elements(self) -> range:
-        return range(self.size)
-
     def prod(self, x: int, y: int) -> int:
         return self.product_table[x][y]
 
     def imp(self, x: int, y: int) -> int:
         return self.residuum_table[x][y]
-
-    def meet(self, x: int, y: int) -> int:
-        return min(x, y)
-
-    def join(self, x: int, y: int) -> int:
-        return max(x, y)
-
-    def neg(self, x: int) -> int:
-        return self.residuum_table[x][0]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteMTLChain) and self.product_table == other.product_table
@@ -192,10 +183,7 @@ class ProductAlgebra:
 
     @property
     def size(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f.size
-        return out
+        return math.prod(f.size for f in self.factors)
 
     @property
     def bot(self) -> tuple[int, ...]:
@@ -341,7 +329,7 @@ def holds(f: Formula, algebra: Algebra, cap: int = DEFAULT_CAP) -> Verdict:
     k = len(names)
     points = algebra.size ** k
     if points > cap:
-        raise CapExceeded(f"{points} valuations exceed the cap of {cap}")
+        raise CapExceeded(f"{_count_text(points)} valuations exceed the cap of {cap}")
     top = algebra.top
     v = [algebra.bot, top] + [None] * (k + len(code))
     # without variables the one point needs no element listed
@@ -487,9 +475,7 @@ def principal_filter(algebra: Algebra, a) -> frozenset:
         if q == p:
             break
         p = q
-    if isinstance(algebra, ProductAlgebra):
-        return frozenset(x for x in algebra.elements() if algebra.meet(x, p) == p)
-    return frozenset(x for x in algebra.elements() if x >= p)
+    return frozenset(x for x in algebra.elements() if algebra.meet(x, p) == p)
 
 
 def is_simple(algebra: Algebra) -> bool:
@@ -837,12 +823,10 @@ def _join(block: list[list[bytes]]) -> list[bytes]:
 
 
 def _lane_tables(chain: DPChain) -> dict[str, bytes]:
-    """The operations of a chain of at most 16 elements as 256-byte tables
-    for bytes.translate: byte x * size + y holds op(x, y)."""
-    return {op: bytes(fn(x, y) for x in chain.elements()
-                      for y in chain.elements()).ljust(256, b"\0")
-            for op, fn in (("&", chain.prod), ("->", chain.imp),
-                           ("/\\", chain.meet), ("\\/", chain.join))}
+    """_tabulate's tables of a chain of at most 16 elements as 256-byte
+    tables for bytes.translate: byte x * size + y holds op(x, y)."""
+    return {op: bytes(table).ljust(256, b"\0")
+            for op, table in zip(("&", "->", "/\\", "\\/"), _tabulate(chain)[2])}
 
 
 def is_theorem(f: Formula, cap: int = DEFAULT_CAP) -> Verdict:
@@ -906,7 +890,7 @@ def _exact_sweep(program: Compiled, last: int, cap: int) -> Verdict:
     sizes = range(2, last + 1)
     points = sum(free_coefficient(k, s - 1) for s in sizes)
     if points > cap:
-        raise CapExceeded(f"{points} valuations exceed the cap of {cap}")
+        raise CapExceeded(f"{_count_text(points)} valuations exceed the cap of {cap}")
     code, root = _lower(program)
     # the block size that keeps every column of a block within the budget
     limit = max(1, _BLOCK_BYTES // (2 + k + len(code)))

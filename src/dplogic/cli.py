@@ -98,13 +98,14 @@ def _route_error(message: str) -> int:
 
 def cmd_free(args) -> int:
     k = args.k
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
     payload: dict = {"status": "ok", "k": k, "mode": args.mode}
     lines = []
     # a k above the caps is refused before the closed form's O(k^2)
     # big-integer sums: by power's instance cap in the power and all
-    # modes, by free_cardinality's k cap (and for a negative k with the
-    # closed form's message) in the others
-    by_power = args.mode == "power" or (args.mode == "all" and k >= 0)
+    # modes, by free_cardinality's k cap in the others
+    by_power = args.mode in ("power", "all")
     cardinality = None if by_power else du.free_cardinality(k)
     dual = du.free_dual(k) if by_power else du.free_dual_closed_form(k)
     if args.mode == "all" and dual != du.free_dual_closed_form(k):

@@ -29,62 +29,6 @@ from operator import attrgetter
 _setattr = object.__setattr__
 
 
-def _record_methods(cls, fields: tuple[str, ...]):
-    """__init__, __eq__ and __hash__ for a record class, as closures over
-    its fields, so that they cost about what the code @dataclass compiles
-    for each class costs; one- and two-field records, the common ones,
-    set their fields without a loop."""
-    n = len(fields)
-    post = None if cls.__post_init__ is Record.__post_init__ else cls.__post_init__
-    if n == 1:
-        (a,) = fields
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != 1:
-                args = self._bind(args, kwargs)
-            _setattr(self, a, args[0])
-            if post is not None:
-                post(self)
-    elif n == 2:
-        a, b = fields
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != 2:
-                args = self._bind(args, kwargs)
-            _setattr(self, a, args[0])
-            _setattr(self, b, args[1])
-            if post is not None:
-                post(self)
-    else:
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != n:
-                args = self._bind(args, kwargs)
-            for name, value in zip(fields, args):
-                _setattr(self, name, value)
-            if post is not None:
-                post(self)
-
-    # the field values: a tuple, or the bare value of a single field
-    key = attrgetter(*fields) if fields else type
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return key(self) == key(other)
-        return NotImplemented
-
-    if n == 1:
-        def __hash__(self):
-            return hash((key(self),))
-    elif n:
-        def __hash__(self):
-            return hash(key(self))
-    else:
-        def __hash__(self):
-            return hash(())
-
-    return __init__, __eq__, __hash__
-
-
 class Record:
     """Immutable value type over the fields named in ``__slots__``.
 
@@ -105,7 +49,26 @@ class Record:
         super().__init_subclass__(**kwargs)
         cls._fields = fields = cls._fields + cls.__dict__["__slots__"]
         cls.__match_args__ = fields
-        cls.__init__, cls.__eq__, cls.__hash__ = _record_methods(cls, fields)
+        # the field values: a tuple, or the bare value of a single field; a
+        # class without fields reads its own __slots__, the empty tuple
+        cls._key = attrgetter(*fields or ("__slots__",))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            _setattr(self, name, value)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        key = self._key(self)
+        return hash((key,) if len(self._fields) == 1 else key)
 
     def _bind(self, args: tuple, kwargs: dict) -> list:
         fields, name = self._fields, type(self).__name__

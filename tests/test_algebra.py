@@ -1180,3 +1180,31 @@ def test_product_algebra_witnesses_use_rank_tuples():
     assert not verdict.ok
     data = witness_to_json(verdict)
     assert isinstance(data["valuation"]["x"]["rank"], list)
+
+
+def test_cap_messages_bound_long_point_counts():
+    # counts of up to 20 digits print in full; longer ones as "at least"
+    # their first four digits in e-notation, not hundreds of digits
+    with pytest.raises(CapExceeded) as short:
+        is_theorem(parse("x & y -> y & x"), cap=10)
+    assert str(short.value) == "18 valuations exceed the cap of 10"
+    with pytest.raises(CapExceeded) as short:
+        holds(_balanced_or([f"x{i}" for i in range(19)]), DPChain(10), cap=10)
+    assert str(short.value) == f"{10**19} valuations exceed the cap of 10"
+    with pytest.raises(CapExceeded) as long:
+        holds(_balanced_or([f"x{i}" for i in range(20)]), DPChain(10), cap=10)
+    assert str(long.value) == "at least 1.000e20 valuations exceed the cap of 10"
+    # V_5 on 300 variables sweeps C_2..C_5: a 210-digit count
+    from dplogic.duality import free_coefficient
+    wide = _balanced_or([f"x{i}" for i in range(300)])
+    digits = str(sum(free_coefficient(300, h) for h in range(1, 5)))
+    with pytest.raises(CapExceeded) as long:
+        is_theorem_in_variety(wide, 5)
+    assert str(long.value) == (f"at least {digits[0]}.{digits[1:4]}e{len(digits) - 1} "
+                               "valuations exceed the cap of 10000000")
+    # 4^300 points: 181 digits
+    digits = str(4**300)
+    with pytest.raises(CapExceeded) as long:
+        holds(wide, DPChain(4))
+    assert str(long.value) == (f"at least {digits[0]}.{digits[1:4]}e{len(digits) - 1} "
+                               "valuations exceed the cap of 10000000")

@@ -155,6 +155,12 @@ def test_free_far_above_the_caps_exits_three_at_once(capsys, mode):
     assert run(capsys, "free", "3000", "--mode", mode) == want
 
 
+def test_free_refuses_a_negative_k_alike_in_every_mode(capsys):
+    for mode in ("closed", "power", "oracle", "all"):
+        assert run(capsys, "free", "-1", "--mode", mode) == (
+            2, "", "error: need k >= 0, got -1\n")
+
+
 def test_free_six_renders_huge_cardinality(capsys):
     # the value has ~29k digits, past the interpreter's default
     # int-to-str conversion guard
@@ -274,6 +280,41 @@ def run_dp(*argv):
     return subprocess.run([sys.executable, "-S", "-m", "dplogic", *argv],
                           env={"PYTHONPATH": src}, capture_output=True, text=True,
                           timeout=60)
+
+
+# residues of a long numeral against its value stand in for str(value),
+# which for ~125 000 digits costs about as much as the dp run itself
+_PRIMES = (2**61 - 1, 10**9 + 7)
+
+
+def assert_numeral(digits: str, value: int):
+    """digits is value in decimal, by digit count and residues modulo two
+    primes, read in 4000-digit chunks."""
+    assert digits.isdigit() and digits[0] != "0"
+    assert 10 ** (len(digits) - 1) <= value < 10 ** len(digits)
+    for p in _PRIMES:
+        r = 0
+        for i in range(0, len(digits), 4000):
+            chunk = digits[i:i + 4000]
+            r = (r * pow(10, len(chunk), p) + int(chunk)) % p
+        assert r == value % p
+
+
+def test_dp_prints_big_numbers_exactly():
+    # a hom count the size of the benchmark's (about 125 000 digits) and
+    # the free cardinality at k = 6, as the dp command prints them
+    from dplogic import free_cardinality
+    from dplogic.duality import morphism_count, multiset_from_text
+    c, d = "{3:17996,6:12403}", "{3:6011,4:3058}"
+    done = run_dp("dual", "homcount", c, d)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.endswith("\n")
+    count = morphism_count(multiset_from_text(c), multiset_from_text(d))
+    assert_numeral(done.stdout[:-1], count)
+    assert len(done.stdout) > 120_000
+    done = run_dp("free", "6", "--json")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert_numeral(json.loads(done.stdout)["cardinality"], free_cardinality(6))
 
 
 def test_too_deep_formulas_exit_two_without_a_traceback():
