@@ -106,7 +106,7 @@ class DPChain(_Chain, Record):
         return self.prod(x, x)
 
 
-class FiniteMTLChain(_Chain):
+class FiniteMTLChain(_Chain, Record):
     """A finite MTL-chain given by its monoidal product table.
 
     The table must be commutative, associative, monotone in each argument
@@ -114,6 +114,10 @@ class FiniteMTLChain(_Chain):
     The residuum table is derived as x => y = max{z : x*z <= y}.
     """
 
+    __slots__ = ("size", "product_table", "residuum_table")
+    size: int
+    product_table: tuple[tuple[int, ...], ...]
+    residuum_table: tuple[tuple[int, ...], ...]
     supports_delta = False
 
     def __init__(self, product: Iterable[Iterable[int]]):
@@ -143,12 +147,10 @@ class FiniteMTLChain(_Chain):
                 for z in range(n):
                     if table[table[x][y]][z] != table[x][table[y][z]]:
                         raise ValueError(f"table not associative at ({x},{y},{z})")
-        self.size = n
-        self.product_table = table
-        self.residuum_table = tuple(
+        residuum = tuple(
             tuple(max(z for z in range(n) if table[x][z] <= y) for y in range(n))
-            for x in range(n)
-        )
+            for x in range(n))
+        super().__init__(n, table, residuum)
 
     def prod(self, x: int, y: int) -> int:
         return self.product_table[x][y]
@@ -156,30 +158,30 @@ class FiniteMTLChain(_Chain):
     def imp(self, x: int, y: int) -> int:
         return self.residuum_table[x][y]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteMTLChain) and self.product_table == other.product_table
-
-    def __hash__(self) -> int:
-        return hash(self.product_table)
-
     def __repr__(self) -> str:
         return f"FiniteMTLChain({[list(r) for r in self.product_table]})"
 
+    def __reduce__(self):
+        # __init__ takes the product table alone and derives the rest
+        return type(self), (self.product_table,)
 
-class ProductAlgebra:
+
+class ProductAlgebra(Record):
     """A finite DP-algebra in decomposed form: a direct product of chains.
 
     Elements are tuples of ranks, one per factor; every operation acts
-    pointwise.
+    pointwise.  Factors may be given as DPChains or as their sizes.
     """
 
+    __slots__ = ("factors",)
+    factors: tuple[DPChain, ...]
     supports_delta = True
 
-    def __init__(self, factors: Iterable[DPChain | int]):
-        fs = tuple(f if isinstance(f, DPChain) else DPChain(f) for f in factors)
+    def __post_init__(self):
+        fs = tuple(f if isinstance(f, DPChain) else DPChain(f) for f in self.factors)
         if not fs:
             raise ValueError("a product algebra needs at least one factor")
-        self.factors = fs
+        object.__setattr__(self, "factors", fs)
 
     @property
     def size(self) -> int:
@@ -213,15 +215,6 @@ class ProductAlgebra:
 
     def delta(self, x):
         return self.prod(x, x)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProductAlgebra) and self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash(self.factors)
-
-    def __repr__(self) -> str:
-        return f"ProductAlgebra({[f.size for f in self.factors]})"
 
 
 Algebra = DPChain | FiniteMTLChain | ProductAlgebra
@@ -411,57 +404,31 @@ def enumerate_mtl_chains(n: int) -> list[FiniteMTLChain]:
     """All MTL-chain product tables on the n-element chain, 2 <= n <= 5.
 
     Backtracks over the upper triangle of the table (entries between
-    nonextremal elements; rows for 0 and top are forced), pruning by
-    monotonicity and by associativity of the decided entries.  Tables are
+    nonextremal elements; rows for 0 and top are forced), each entry
+    running from the larger of its left and upper neighbours to the
+    smaller of its arguments, so every table built is commutative and
+    monotone.  FiniteMTLChain keeps the associative ones.  Tables are
     produced in lexicographic order of the free entries.
     """
     if not 2 <= n <= 5:
         raise ValueError(f"chain enumeration is capped at size 5, got {n}")
     top = n - 1
     free = [(x, y) for x in range(1, top) for y in range(x, top)]
-    table = [[None] * n for x in range(n)]
-    for x in range(n):
-        table[x][0] = table[0][x] = 0
-        table[x][top] = table[top][x] = x
-
-    def assoc_ok() -> bool:
-        # check every triple whose five lookups are all decided
-        for a in range(n):
-            for b in range(n):
-                ab = table[a][b]
-                if ab is None:
-                    continue
-                for c in range(n):
-                    bc = table[b][c]
-                    if bc is None:
-                        continue
-                    left = table[ab][c]
-                    right = table[a][bc]
-                    if left is not None and right is not None and left != right:
-                        return False
-        return True
-
+    # 0 absorbs and the top is the unit; free entries are overwritten
+    table = [[0] * n] + [[0] * top + [x] for x in range(1, top)] + [list(range(n))]
     out: list[FiniteMTLChain] = []
 
     def fill(i: int):
         if i == len(free):
-            out.append(FiniteMTLChain([row[:] for row in table]))
+            try:
+                out.append(FiniteMTLChain(table))
+            except ValueError:  # not associative
+                pass
             return
         x, y = free[i]
-        lower = 0
-        if y - 1 >= 1:
-            prev = table[x][y - 1]
-            if prev is not None:
-                lower = max(lower, prev)
-        if x - 1 >= 1:
-            prev = table[x - 1][y]
-            if prev is not None:
-                lower = max(lower, prev)
-        for v in range(lower, min(x, y) + 1):
+        for v in range(max(table[x][y - 1], table[x - 1][y]), min(x, y) + 1):
             table[x][y] = table[y][x] = v
-            if assoc_ok():
-                fill(i + 1)
-        table[x][y] = table[y][x] = None
+            fill(i + 1)
 
     fill(0)
     return out

@@ -323,10 +323,7 @@ def free_cardinality(k: int) -> int:
         raise ValueError(f"need k >= 0, got {k}")
     if k > FREE_CARDINALITY_CAP:
         raise CapExceeded(f"free cardinality capped at k = {FREE_CARDINALITY_CAP}")
-    out = 2 ** (2 ** k) * 3 ** (3 ** k - 2 ** k)
-    for h in range(3, k + 3):
-        out *= (h + 1) ** free_coefficient(k, h)
-    return out
+    return math.prod((h + 1) ** free_coefficient(k, h) for h in range(1, k + 3))
 
 
 def kx3_identity_check(k: int) -> bool:

@@ -32,13 +32,14 @@ _setattr = object.__setattr__
 class Record:
     """Immutable value type over the fields named in ``__slots__``.
 
-    A subclass names its fields in ``__slots__`` (a tuple) and may give
-    trailing defaults in ``_defaults``.  Instances are built by position
-    or keyword and then checked or normalised by ``__post_init__``; they
-    equal only instances of the same class with equal fields, hash like
-    the tuple of their fields, print as ``Name(field=value, ...)`` and
-    refuse assignment.  That is what ``@dataclass(frozen=True)`` gives,
-    without compiling code for every class at import time.
+    A subclass names its fields in ``__slots__`` (a tuple; a subclass
+    without ``__slots__`` adds none) and may give trailing defaults in
+    ``_defaults``.  Instances are built by position or keyword and then
+    checked or normalised by ``__post_init__``; they equal only instances
+    of the same class with equal fields, hash like the tuple of their
+    fields, print as ``Name(field=value, ...)`` and refuse assignment.
+    That is what ``@dataclass(frozen=True)`` gives, without compiling
+    code for every class at import time.
     """
 
     __slots__ = ()
@@ -47,7 +48,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = fields = cls._fields + cls.__dict__["__slots__"]
+        cls._fields = fields = cls._fields + cls.__dict__.get("__slots__", ())
         cls.__match_args__ = fields
         # the field values: a tuple, or the bare value of a single field; a
         # class without fields reads its own __slots__, the empty tuple

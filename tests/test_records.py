@@ -1,6 +1,6 @@
 """Value semantics of the immutable records (formula nodes, chains,
-verdicts, multisets, morphisms): construction, equality, hashing, printing
-and immutability."""
+products, verdicts, multisets, morphisms): construction, equality,
+hashing, printing and immutability."""
 
 import copy
 import pickle
@@ -8,8 +8,8 @@ import pickle
 import pytest
 
 from dplogic import (
-    Bot, DPChain, Imp, MCMorphism, Min, MultisetObj, Neg, Power, Strong, Top,
-    Var, Verdict,
+    Bot, DPChain, FiniteMTLChain, Imp, MCMorphism, Min, MultisetObj, Neg,
+    Power, ProductAlgebra, Strong, Top, Var, Verdict,
 )
 from dplogic.algebra import FreeAlgebraTable
 from dplogic.formula import compile, parse
@@ -70,6 +70,13 @@ def test_construction_by_position_keyword_and_default():
         Var("x", name="y")
     with pytest.raises(TypeError):
         Strong(x, other=x)
+    # factors as chains or their sizes, from any iterable
+    product = ProductAlgebra([2, 3])
+    assert (ProductAlgebra(n for n in (2, 3)) == ProductAlgebra((2, 3))
+            == ProductAlgebra([DPChain(2), DPChain(3)])
+            == ProductAlgebra(factors=[2, DPChain(3)]) == product)
+    assert product.factors == (DPChain(2), DPChain(3))
+    assert ProductAlgebra([3, 2]) != product
 
 
 def test_fields_cannot_be_assigned_or_deleted():
@@ -94,6 +101,10 @@ def test_post_init_validates_and_normalises():
         Power(Var("x"), -1)
     with pytest.raises(ValueError):
         DPChain(1)
+    with pytest.raises(ValueError, match="at least one factor"):
+        ProductAlgebra([])
+    with pytest.raises(ValueError):
+        ProductAlgebra([2, 1])
     with pytest.raises(ValueError):
         MultisetObj(((0, 1),))
     with pytest.raises(ValueError):
@@ -121,7 +132,8 @@ def test_match_args_follow_the_fields():
 def test_records_pickle_and_copy():
     values = [parse("D(x -> y)^3 <-> ~1"), DPChain(4), Verdict(True),
               MultisetObj.from_lengths([1, 3, 3]), compile(parse("x & ~x")),
-              FreeAlgebraTable(0, 3, ((0,), (2,)))]
+              FreeAlgebraTable(0, 3, ((0,), (2,))), ProductAlgebra([2, 3]),
+              FiniteMTLChain([[0, 0, 0], [0, 0, 1], [0, 1, 2]])]
     for value in values:
         for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value),
                       copy.deepcopy(value)):
@@ -133,7 +145,8 @@ def test_records_pickle_and_copy():
 def test_instances_keep_their_fields_in_slots():
     from dplogic.formula import Record
     for value in (Var("x"), Bot(), DPChain(3), Verdict(True), MultisetObj(),
-                  compile(parse("x"))):
+                  compile(parse("x")), ProductAlgebra([2]),
+                  FiniteMTLChain([[0, 0], [0, 1]])):
         assert isinstance(value, Record)
         assert not hasattr(value, "__dict__")
 
@@ -145,3 +158,19 @@ def test_deep_records_compare_hash_and_print():
     assert deep == parse("~" * 300 + "x") != parse("~" * 299 + "x")
     assert hash(deep) == hash(parse("~" * 300 + "x"))
     assert repr(deep).startswith("Neg(arg=Neg(arg=")
+
+
+def test_algebra_values_are_immutable_records():
+    # a field that could be assigned would change the hash under a set
+    chain = FiniteMTLChain([[0, 0, 0], [0, 1, 1], [0, 1, 2]])
+    for value, field, other in ((ProductAlgebra([2, 3]), "factors", ()),
+                                (chain, "size", 7),
+                                (chain, "product_table", ()),
+                                (chain, "residuum_table", ())):
+        h, pool = hash(value), {value}
+        with pytest.raises(AttributeError):
+            setattr(value, field, other)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert hash(value) == h and value in pool
+    assert chain.top == 2
