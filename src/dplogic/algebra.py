@@ -21,8 +21,7 @@ from collections.abc import Iterable, Mapping
 from functools import cache, reduce
 
 from .formula import (
-    Compiled, Delta, Formula, Iff, Neg, Or, Power, Record, Var, _children,
-    compile, parse,
+    Compiled, Formula, Iff, Neg, Or, Power, Record, Var, compile, parse,
 )
 from .formula import variables  # noqa: F401  (callers read algebra.variables)
 
@@ -237,55 +236,18 @@ class Verdict(Record):
         return self.ok
 
 
-def _lower(program: Compiled) -> tuple[list[tuple[str, int, int, int]], int]:
-    """Three-address code (op, a, b, out) over a value array, and the slot
-    of the root.
-
-    Slot 0 holds the bottom, slot 1 the top, slots 2..k+1 the k variables
-    and each later slot one operation node; op is "&", "->", "/\\" or
-    "\\/", with ~x as x -> 0 and D x as x & x.
-    """
-    k = len(program.names)
-    slot: list[int] = []
-    code: list[tuple[str, int, int, int]] = []
-    for op, a, b in program.nodes:
-        if op == "var":
-            slot.append(2 + a)
-        elif op in ("0", "1"):
-            slot.append(int(op))
-        else:
-            out = 2 + k + len(code)
-            if op == "~":
-                code.append(("->", slot[a], 0, out))
-            elif op == "D":
-                code.append(("&", slot[a], slot[a], out))
-            else:
-                code.append((op, slot[a], slot[b], out))
-            slot.append(out)
-    return code, slot[-1]
-
-
-def _mentions_delta(f: Formula) -> bool:
-    # under a zeroth power too, where compile drops it
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Delta):
-            return True
-        stack.extend(_children(g))
-    return False
-
-
 def _bound(f: Formula, algebra: Algebra) -> tuple[tuple[str, ...], list, int]:
-    """f lowered with each op bound to the algebra's operation: the
+    """f compiled with each op bound to the algebra's operation: the
     variable names, the code (fn, a, b, out) and the root's slot."""
     program = compile(f)
-    if not algebra.supports_delta and _mentions_delta(f):
+    if program.delta and not algebra.supports_delta:
         raise EvaluationError("D is only defined on DP algebras")
     ops = {"&": algebra.prod, "->": algebra.imp,
            "/\\": algebra.meet, "\\/": algebra.join}
-    code, root = _lower(program)
-    return program.names, [(ops[op], a, b, out) for op, a, b, out in code], root
+    names = program.names
+    code = [(ops[op], a, b, out)
+            for out, (op, a, b) in enumerate(program.code, 2 + len(names))]
+    return names, code, program.root
 
 
 def evaluate(f: Formula, algebra: Algebra, valuation: Valuation):
@@ -294,7 +256,8 @@ def evaluate(f: Formula, algebra: Algebra, valuation: Valuation):
     /\\ and \\/ are lattice meet and join, & the monoidal product, -> the
     residuum and 0 the bottom; ~, <-> and powers evaluate through their
     defining abbreviations.  D requires a DP algebra, where it acts as
-    squaring.  This is one point of the sweep holds makes.
+    squaring.  This runs f's slot code (formula.compile) once, one point
+    of the sweep holds makes.
     """
     names, code, root = _bound(f, algebra)
     v = [algebra.bot, algebra.top]
@@ -314,9 +277,9 @@ def holds(f: Formula, algebra: Algebra, cap: int = DEFAULT_CAP) -> Verdict:
 
     Valuations come in itertools.product order over the variables in
     first-occurrence order; the first one whose value is not the top is
-    returned as the countermodel.  Each point is evaluate's loop over the
-    lowered formula.  The |A|^k points are counted before any element of
-    the algebra A is listed.
+    returned as the countermodel.  Each point is evaluate's run of the
+    slot code.  The |A|^k points are counted before any element of the
+    algebra A is listed.
     """
     names, code, root = _bound(f, algebra)
     k = len(names)
@@ -816,8 +779,8 @@ def is_theorem(f: Formula, cap: int = DEFAULT_CAP) -> Verdict:
     order.  Embeddings preserve that order, so the first refutation found
     is the lexicographically first countermodel on the smallest refuting
     chain.  The sweep is column-wise: a block of points holds each value
-    as one byte of a column, read as a little-endian integer.  A node
-    x op y of the compiled array packs its operands' lanes as x*s + y,
+    as one byte of a column, read as a little-endian integer.  Each
+    operation x op y of the slot code packs its operands' lanes as x*s + y,
     which fits a byte for s <= 16, and `bytes.translate` looks all lanes
     up in the operation's 256-byte table at once.  Chains above 16
     elements (k >= 14) do not fit a lane and raise CapExceeded whatever
@@ -858,14 +821,14 @@ def _exact_sweep(program: Compiled, last: int, cap: int) -> Verdict:
     points = sum(free_coefficient(k, s - 1) for s in sizes)
     if points > cap:
         raise CapExceeded(f"{_count_text(points)} valuations exceed the cap of {cap}")
-    code, root = _lower(program)
+    code, root = program.code, program.root
     # the block size that keeps every column of a block within the budget
     limit = max(1, _BLOCK_BYTES // (2 + k + len(code)))
     for size in sizes:
         chain = DPChain(size)
         top = chain.top
         tables = _lane_tables(chain)
-        ops = [(tables[op], a, b, out) for op, a, b, out in code]
+        ops = [(tables[op], a, b, out) for out, (op, a, b) in enumerate(code, 2 + k)]
         refutes = bytes(x != top for x in range(256))
         v = [0] * (2 + k + len(ops))
         for n, cols in _exact_blocks(k, size, limit):

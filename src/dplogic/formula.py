@@ -235,11 +235,12 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 _IFF, _IMP, _OR, _AND, _STRONG, _UNARY, _POSTFIX, _ATOM = range(8)
 
 # the deepest formula parse() builds, in levels of the AST.  parse,
-# compile, render, expand_derived, and evaluate and the sweeps in algebra
-# use explicit stacks, so they answer every formula within it; ==, hash
-# and repr recurse per level and meet the interpreter's recursion limit
-# (1000 frames by default) a few hundred levels down.  Input deeper than
-# this is refused before it reaches any of them.
+# compile, render and expand_derived use explicit stacks, and evaluate and
+# the sweeps in algebra run compile's straight-line code, so they answer
+# every formula within it; ==, hash and repr recurse per level and meet
+# the interpreter's recursion limit (1000 frames by default) a few hundred
+# levels down.  Input deeper than this is refused before it reaches any
+# of them.
 MAX_DEPTH = 1000
 
 # infix token kinds: (node class, binding strength); -> alone is right
@@ -393,20 +394,24 @@ def render(f: Formula) -> str:
 
 
 class Compiled(Record):
-    """A formula as a hash-consed node array in post-order.
+    """A formula as straight-line code over an array of value slots.
 
-    Each node is a triple (op, a, b).  op is one of the primitives "var",
-    "0", "1", "&", "/\\", "\\/", "->", "~" and "D"; for "var", a indexes
-    names, otherwise a and b index earlier nodes (0 where unused).  Equal
-    subformulas share one node, and the root is the last node.
+    Slot 0 holds the bottom, slot 1 the top and slots 2..k+1 the k
+    variables of names, in first-occurrence order (also those that occur
+    only under a zeroth power).  code[i] = (op, a, b) fills slot k+2+i
+    with op applied to the earlier slots a and b; op is one of the
+    primitives "&", "->", "/\\" and "\\/".  root is the formula's slot.
+    ~x is x -> 0 and D x is x & x, its value on every DP algebra; delta
+    records whether D occurs anywhere, under a zeroth power too.  Equal
+    operations share one slot, so ~x and x -> 0 are one, as are D x,
+    x & x and x^2.
     """
 
-    __slots__ = ("names", "nodes")
+    __slots__ = ("names", "code", "root", "delta")
     names: tuple[str, ...]
-    nodes: tuple[tuple[str, int, int], ...]
-
-
-_PRIMITIVE = {**_BINARY, Neg: "~", Delta: "D"}
+    code: tuple[tuple[str, int, int], ...]
+    root: int
+    delta: bool
 
 
 def _children(f: Formula) -> tuple[Formula, ...]:
@@ -420,63 +425,72 @@ def _children(f: Formula) -> tuple[Formula, ...]:
 
 
 def compile(f: Formula) -> Compiled:
-    """Lower f to primitive nodes with an explicit stack (no recursion).
+    """Lower f to slot code in one pass over an explicit stack.
 
-    a <-> b becomes (a -> b) & (b -> a) over the shared nodes of a and b,
-    x^n becomes a product of n copies of x and x^0 becomes 1.  names
-    lists the variables in first-occurrence order, including those that
-    occur only under a zeroth power.
+    a <-> b becomes (a -> b) & (b -> a) over the shared slots of a and b,
+    x^n becomes a product of n copies of x and x^0 becomes 1.
     """
-    names: dict[str, int] = {}
-    # (op, a, b) -> node id; insertion order is the node array
+    names: dict[str, int] = {}  # name -> its slot
+    # (op, a, b) -> ~j for the j-th operation: k, and so the operations'
+    # slots, are known only at the end; insertion order is the code
     ids: dict[tuple[str, int, int], int] = {}
 
-    def node(op: str, a: int = 0, b: int = 0) -> int:
-        return ids.setdefault((op, a, b), len(ids))
+    def node(op: str, a: int, b: int) -> int:
+        return ids.setdefault((op, a, b), ~len(ids))
 
-    done: list[int] = []  # node ids of the finished subformulas
+    delta = False
+    done: list[int] = []  # slots or ids of the finished subformulas
     # ready: False on the way down, True once the children are done, None
-    # under a zeroth power, where only the variable order is recorded
+    # under a zeroth power, where only the variables and D are recorded
     stack: list[tuple[Formula, bool | None]] = [(f, False)]
     while stack:
         g, ready = stack.pop()
         if isinstance(g, Var):
-            i = names.setdefault(g.name, len(names))
+            i = names.setdefault(g.name, 2 + len(names))
             if ready is not None:
-                done.append(node("var", i))
-        elif ready is None:
-            stack.extend((c, None) for c in reversed(_children(g)))
-        elif isinstance(g, Bot):
-            done.append(node("0"))
-        elif isinstance(g, Top):
-            done.append(node("1"))
-        elif isinstance(g, Power) and g.n == 0:
-            done.append(node("1"))
-            stack.append((g.arg, None))
-        elif not ready:
-            stack.append((g, True))
-            stack.extend((c, False) for c in reversed(_children(g)))
-        elif isinstance(g, Power):
-            # by squaring: & is associative and commutative, and shared
-            # squares keep x^n at O(log n) nodes
-            x, n, acc = done.pop(), g.n, None
-            while n:
-                if n & 1:
-                    acc = x if acc is None else node("&", acc, x)
-                n >>= 1
-                if n:
-                    x = node("&", x, x)
-            done.append(acc)
-        elif isinstance(g, (Neg, Delta)):
-            done.append(node(_PRIMITIVE[type(g)], done.pop()))
-        else:
-            b = done.pop()
-            a = done.pop()
-            if isinstance(g, Iff):
-                done.append(node("&", node("->", a, b), node("->", b, a)))
+                done.append(i)
+        elif ready:
+            if isinstance(g, Power):
+                # by squaring: & is associative and commutative, and shared
+                # squares keep x^n at O(log n) operations
+                x, n, acc = done.pop(), g.n, None
+                while n:
+                    if n & 1:
+                        acc = x if acc is None else node("&", acc, x)
+                    n >>= 1
+                    if n:
+                        x = node("&", x, x)
+                done.append(acc)
+            elif isinstance(g, Neg):
+                done.append(node("->", done.pop(), 0))
+            elif isinstance(g, Delta):
+                x = done.pop()
+                done.append(node("&", x, x))
+                delta = True
             else:
-                done.append(node(_PRIMITIVE[type(g)], a, b))
-    return Compiled(tuple(names), tuple(ids))
+                b = done.pop()
+                a = done.pop()
+                if isinstance(g, Iff):
+                    done.append(node("&", node("->", a, b), node("->", b, a)))
+                else:
+                    done.append(node(_BINARY[type(g)], a, b))
+        elif ready is None:
+            delta = delta or isinstance(g, Delta)
+            stack.extend([(c, None) for c in _children(g)[::-1]])
+        elif isinstance(g, (Bot, Top)):
+            done.append(1 if isinstance(g, Top) else 0)
+        elif isinstance(g, Power) and g.n == 0:
+            done.append(1)
+            stack.append((g.arg, None))
+        else:
+            stack.append((g, True))
+            stack.extend([(c, False) for c in _children(g)[::-1]])
+    # the j-th operation, id ~j, fills slot k+2+j = k+1-~j
+    last = len(names) + 1
+    code = tuple([(op, a if a >= 0 else last - a, b if b >= 0 else last - b)
+                  for op, a, b in ids])
+    root = done.pop()
+    return Compiled(tuple(names), code, root if root >= 0 else last - root, delta)
 
 
 def variables(f: Formula) -> list[str]:

@@ -16,6 +16,7 @@ from dplogic import (
     parse, product, satisfies_axiom, separating_formula, variables,
 )
 from dplogic.duality import TERMINAL, free_dual_closed_form, free_dual_recurrence
+from dplogic.suites import random_formula
 
 
 def _report(number, label, body, limit=None):
@@ -128,7 +129,6 @@ def test_criterion_6_simple_wnm_chains_are_dp():
 
 def test_criterion_7_decision_procedure_agreement():
     def body():
-        from test_formula import random_formula
         rng = random.Random(173)
         for _ in range(200):
             f = random_formula(rng, rng.randrange(1, 7))

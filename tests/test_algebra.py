@@ -22,6 +22,7 @@ from dplogic.algebra import (
     algebra_from_json, algebra_to_json, axiom_instance, element_name,
     generating_set, principal_filter, witness_to_json,
 )
+from dplogic.suites import random_formula
 
 ALL_OPS = ("prod", "imp", "meet", "join")
 
@@ -105,6 +106,13 @@ def test_eval_errors():
         evaluate(parse("x"), chain, {})
     with pytest.raises(EvaluationError):
         evaluate(parse("D x"), godel_chain(3), {"x": 1})
+    # (D x)^0 is 1 wherever D is defined, but D is not defined here
+    f = parse("(D x)^0 -> x")
+    with pytest.raises(EvaluationError, match="D is only defined"):
+        evaluate(f, godel_chain(3), {"x": 1})
+    with pytest.raises(EvaluationError, match="D is only defined"):
+        holds(f, godel_chain(3))
+    assert evaluate(f, chain, {"x": 1}) == 1
 
 
 def test_holds_dp_axiom_and_excluded_middle():
@@ -157,7 +165,6 @@ def evaluate_by_ladder(f, algebra, valuation):
 
 
 def test_evaluate_matches_the_recursive_evaluator():
-    from test_formula import random_formula
     rng = random.Random(41017)
     algebras = [DPChain(n) for n in range(2, 7)] + [
         godel_chain(4), lukasiewicz_chain(5), SUBIDEMPOTENT4, NM4,
@@ -196,7 +203,6 @@ def holds_by_evaluate(f, algebra):
 
 
 def test_holds_matches_a_sweep_of_evaluate():
-    from test_formula import random_formula
     rng = random.Random(52711)
     algebras = [DPChain(n) for n in range(2, 6)] + [
         godel_chain(3), lukasiewicz_chain(4), SUBIDEMPOTENT4, NM4,
@@ -813,7 +819,6 @@ def minimal_countermodel_by_holds(f):
 
 
 def test_is_theorem_matches_minimal_countermodel_by_holds():
-    from test_formula import random_formula
     rng = random.Random(60311)
     formulas = [random_formula(rng, rng.randrange(1, 8)) for _ in range(1200)]
     formulas += [separating_formula(n) for n in range(2, 6)]
@@ -897,13 +902,14 @@ def _point_by_point_exact_valuations(v, k, size):
 
 
 def point_by_point_is_theorem(f):
-    """The decision procedure as one loop over the compiled node array per
+    """The decision procedure as one loop over the compiled slot code per
     exact valuation, the sweep the column-wise one replaced."""
-    from dplogic.algebra import Verdict, _lower
+    from dplogic.algebra import Verdict
     from dplogic.formula import compile
     program = compile(f)
     k = len(program.names)
-    code, root = _lower(program)
+    code = [(op, a, b, out) for out, (op, a, b) in enumerate(program.code, 2 + k)]
+    root = program.root
     for size in range(2, k + 4):
         chain = DPChain(size)
         tables = {op: [[fn(x, y) for y in chain.elements()]
@@ -922,7 +928,6 @@ def point_by_point_is_theorem(f):
 
 
 def test_column_sweep_matches_the_point_by_point_sweep():
-    from test_formula import random_formula
     rng = random.Random(50517)
     formulas = []
     # a 7-variable theorem costs the oracle about a second
@@ -1047,7 +1052,6 @@ def fields(verdict):
 
 
 def test_variety_verdicts_match_sweeps_of_holds():
-    from test_formula import random_formula
     rng = random.Random(70913)
     formulas = [random_formula(rng, rng.randrange(1, 7), names=["x", "y", "z", "w"])
                 for _ in range(150)]
@@ -1096,7 +1100,6 @@ def test_a_formula_at_the_depth_limit_is_evaluated_expanded_and_decided():
 
 def test_decision_procedure_matches_full_sweep():
     rng = random.Random(91)
-    from test_formula import random_formula
     for _ in range(80):
         f = random_formula(rng, rng.randrange(1, 6))
         k = len(variables(f))

@@ -14,6 +14,7 @@ from dplogic import (
 )
 from dplogic.algebra import DPChain, enumerate_mtl_chains, evaluate
 from dplogic.formula import _ALIASES, MAX_DEPTH, _tokenize, compile
+from dplogic.suites import random_formula
 
 
 def test_parse_atoms():
@@ -116,25 +117,6 @@ def test_variables_first_occurrence_order():
     assert variables(parse("b \\/ a \\/ b")) == ["b", "a"]
 
 
-NAMES = ["x", "y", "zz"]
-
-
-def random_formula(rng, depth, allow_delta=True, names=NAMES):
-    if depth == 0 or rng.random() < 0.25:
-        return rng.choice([Var(rng.choice(names)), Bot(), Top()])
-    kind = rng.randrange(8 if allow_delta else 7)
-    if kind == 7:
-        return Delta(random_formula(rng, depth - 1, allow_delta, names))
-    if kind == 0:
-        return Neg(random_formula(rng, depth - 1, allow_delta, names))
-    if kind == 1:
-        return Power(random_formula(rng, depth - 1, allow_delta, names),
-                     rng.randrange(6))
-    a = random_formula(rng, depth - 1, allow_delta, names)
-    b = random_formula(rng, depth - 1, allow_delta, names)
-    return (Strong, Min, Imp, Or, Iff)[kind - 2](a, b)
-
-
 def test_roundtrip_on_random_asts():
     rng = random.Random(4411)
     for _ in range(500):
@@ -234,25 +216,41 @@ def test_power_matches_iterated_strong():
 def test_compile_shares_equal_subformulas():
     prog = compile(parse("(x & y) \\/ ~(x & y)"))
     assert prog.names == ("x", "y")
-    assert prog.nodes == (("var", 0, 0), ("var", 1, 0), ("&", 0, 1),
-                          ("~", 2, 0), ("\\/", 2, 3))
+    # slots 0 and 1 are the constants, 2 and 3 the variables
+    assert prog.code == (("&", 2, 3), ("->", 4, 0), ("\\/", 4, 5))
+    assert prog.root == 6
 
 
 def test_compile_lowers_derived_connectives():
-    assert compile(parse("x <-> y")).nodes == (
-        ("var", 0, 0), ("var", 1, 0), ("->", 0, 1), ("->", 1, 0), ("&", 2, 3))
+    prog = compile(parse("x <-> y"))
+    assert (prog.code, prog.root) == (
+        (("->", 2, 3), ("->", 3, 2), ("&", 4, 5)), 6)
     # x^3 = x & x^2 and x^4 = x^2 & x^2 share the square
-    assert compile(parse("x^3 \\/ x^4")).nodes == (
-        ("var", 0, 0), ("&", 0, 0), ("&", 0, 1), ("&", 1, 1), ("\\/", 2, 3))
-    assert len(compile(parse("x^123456789")).nodes) < 60
-    assert compile(parse("D x -> 0")).nodes == (
-        ("var", 0, 0), ("D", 0, 0), ("0", 0, 0), ("->", 1, 2))
+    prog = compile(parse("x^3 \\/ x^4"))
+    assert (prog.code, prog.root) == (
+        (("&", 2, 2), ("&", 2, 3), ("&", 3, 3), ("\\/", 4, 5)), 6)
+    assert len(compile(parse("x^123456789")).code) < 60
+    prog = compile(parse("D x -> 0"))
+    assert (prog.code, prog.root, prog.delta) == (
+        (("&", 2, 2), ("->", 3, 0)), 4, True)
+
+
+def test_compile_shares_a_slot_between_a_connective_and_its_definition():
+    # ~x is x -> 0, and D x, x & x and x^2 are one slot: one operation each
+    for left, right in (("~x", "x -> 0"), ("D x", "x & x"), ("D x", "x^2")):
+        a, b = compile(parse(left)), compile(parse(right))
+        assert (a.code, a.root) == (b.code, b.root)
+        assert len(compile(parse(f"({left}) /\\ ({right})")).code) == 2
 
 
 def test_compile_zeroth_power_is_one_but_keeps_its_variables():
     prog = compile(parse("y^0 & (x -> y)^0 & z"))
     assert prog.names == ("y", "x", "z")
-    assert prog.nodes == (("1", 0, 0), ("&", 0, 0), ("var", 2, 0), ("&", 1, 2))
+    assert (prog.code, prog.root) == ((("&", 1, 1), ("&", 5, 4)), 6)
+    # D leaves no operation under a zeroth power, but is recorded
+    prog = compile(parse("(D x)^0 -> x"))
+    assert (prog.code, prog.root, prog.delta) == ((("->", 1, 2),), 3, True)
+    assert not compile(parse("x^0 -> x")).delta
 
 
 def test_compile_names_match_variables_and_nodes_come_in_post_order():
@@ -261,10 +259,13 @@ def test_compile_names_match_variables_and_nodes_come_in_post_order():
         f = random_formula(rng, rng.randrange(1, 9))
         prog = compile(f)
         assert list(prog.names) == variables(f)
-        assert len(set(prog.nodes)) == len(prog.nodes)
-        for i, (op, a, b) in enumerate(prog.nodes):
-            if op not in ("var", "0", "1"):
-                assert a < i and b < i
+        assert len(set(prog.code)) == len(prog.code)
+        first = 2 + len(prog.names)
+        for slot, (op, a, b) in enumerate(prog.code, first):
+            assert op in ("&", "->", "/\\", "\\/")
+            assert 0 <= a < slot and 0 <= b < slot
+        assert 0 <= prog.root < first + len(prog.code)
+        assert prog.delta == ("D" in str(f))
 
 
 def test_compile_needs_no_recursion():
@@ -272,8 +273,9 @@ def test_compile_needs_no_recursion():
     for _ in range(20000):
         f = Neg(f)
     prog = compile(f)
-    assert len(prog.nodes) == 20001
-    assert prog.nodes[-1] == ("~", 19999, 0)
+    assert len(prog.code) == 20000
+    assert prog.code[-1] == ("->", 20001, 0)
+    assert prog.root == 20002
 
 
 class ReferenceParser:
@@ -438,7 +440,8 @@ def test_parse_depth_is_bounded_not_recursive():
     deepest = "~" * (MAX_DEPTH - 1) + "x"
     assert str(parse(deepest)) == deepest
     assert variables(parse(deepest)) == ["x"]
-    assert compile(parse(deepest)).nodes[-1] == ("~", MAX_DEPTH - 2, 0)
+    prog = compile(parse(deepest))
+    assert prog.code[-1] == ("->", MAX_DEPTH, 0) and prog.root == MAX_DEPTH + 1
     for text in ("~" * MAX_DEPTH + "x", "D " * MAX_DEPTH + "x",
                  " & ".join(["x"] * (MAX_DEPTH + 1)),
                  " -> ".join(["x"] * (MAX_DEPTH + 1)),
