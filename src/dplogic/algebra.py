@@ -491,15 +491,14 @@ def _tabulate(algebra: Algebra,
 
 
 def _derivation(algebra: Algebra, index: dict,
-                tables: list[list[int]]) -> tuple[list[int], list[int], list[tuple]]:
-    """Generators, derivation order and a straight-line program over numbers.
+                tables: list[list[int]]) -> tuple[list[int], list[tuple]]:
+    """Generators and a straight-line program over element numbers.
 
     The closure of 0 and top grows semi-naively: each element in turn is
     combined, in both orders, with every element before it.  When it stops
     growing, the first element outside it becomes a generator, the greedy
-    choice.  Returns the generators chosen, every element in the order it
-    was reached, and the program: a step (t, x, y, z) for each element z
-    reached as op_t(x, y), operands first.
+    choice.  Returns the generators chosen and the program: a step
+    (t, x, y, z) for each element z reached as op_t(x, y), operands first.
     """
     n = len(index)
     closed = [False] * n
@@ -525,7 +524,7 @@ def _derivation(algebra: Algebra, index: dict,
                             program.append((t, x, y, v))
         i = next((i for i in outside if not closed[i]), None)
         if i is None:
-            return found, known, program
+            return found, program
         found.append(i)
         closed[i] = True
         known.append(i)
@@ -567,38 +566,19 @@ class _OnDemand(dict):
         return c
 
 
-def _analyse(src: Algebra, cap: int) -> tuple:
-    """What the homomorphism search needs of src: its elements, greedy
-    generators, bottom and top numbers, derivation program and checks."""
-    elems, index, tables = _tabulate(src, cap)
-    # the greedy generators, as generating_set picks them; the program
-    # derives each other element from those reached before it
-    g, order, program = _derivation(src, index, tables)
-    # a check (t, x, y, op_t(x, y)) for every pair, in both orders, and
-    # every operation: pairs of the generators and of early-derived
-    # elements first, and the elements reached before the first generator
-    # (0, top and what they derive), which every candidate maps alike,
-    # last, so wrong candidates fail sooner
-    first = order.index(g[0]) if g else len(order)
-    order = g + [x for x in order[first:] if x not in g] + order[:first]
-    n = len(elems)
-    checks = [(t, x, y, table[x * n + y])
-              for p, z in enumerate(order) for w in order[:p + 1]
-              for x, y in ((z, w), (w, z)) for t, table in enumerate(tables)]
-    return elems, g, index[src.bot], index[src.top], program, checks
-
-
 def _search(source: tuple, dst: Algebra) -> list[tuple]:
-    # the homomorphisms from the analysed source into dst, as image tuples
-    # in element number order, in the order of their generator images
-    elems, g, bot, top, program, checks = source
+    # the homomorphisms into dst from a source of n elements, as image
+    # tuples in element number order, in the order of their generator
+    # images; tables are the source's as _tabulate gives them, bot and top
+    # number its constants, g its generators, and program derives the rest
+    n, tables, bot, top, g, program = source
     m = dst.size
     mm = m * m
     dst_ops = _OnDemand(dst, m)
     # dst_ops[t * m * m + a * m + b] is op_t on dst's elements a and b
     steps = [(t * mm, x, y, z) for t, x, y, z in program]
-    checks = [(t * mm, x, y, z) for t, x, y, z in checks]
-    h = [0] * len(elems)
+    ops = [(t * mm, table) for t, table in enumerate(tables)]
+    h = [0] * n
     h[bot] = dst_ops.number(dst.bot)
     h[top] = dst_ops.number(dst.top)
     values = dst_ops.values
@@ -610,10 +590,11 @@ def _search(source: tuple, dst: Algebra) -> list[tuple]:
             h[x] = a
         for k, x, y, z in steps:
             h[z] = dst_ops[k + h[x] * m + h[y]]
-        for k, x, y, z in checks:
-            if dst_ops[k + h[x] * m + h[y]] != h[z]:
-                break
-        else:
+        # h is a homomorphism iff op_t(h[x], h[y]) == h[op_t(x, y)] on
+        # every table entry, compared a row of a table at a time
+        if all([dst_ops[k + a * m + b] for b in h]
+               == [h[z] for z in table[x * n:x * n + n]]
+               for x, a in enumerate(h) for k, table in ops):
             found.append(tuple([values[i] for i in h]))
     return found
 
@@ -625,9 +606,9 @@ def enumerate_homomorphisms(src: Algebra, dst: Algebra,
     A homomorphism is fixed by its values on a generating set, so the
     search assigns targets to the generators of src, runs the program that
     derives every other element of src on those targets in dst, and
-    verifies the resulting map on every pair and operation, pairs of
-    early-derived elements first.  It works on element numbers: src's
-    operations are tabulated once, dst's are evaluated on demand and
+    accepts the resulting map h when op(h(x), h(y)) = h(op(x, y)) for
+    every entry of src's operation tables.  It works on element numbers:
+    src's operations are tabulated once, dst's are evaluated on demand and
     remembered by operand pair, so a large dst costs only the operations
     the search asks for.
 
@@ -641,11 +622,12 @@ def enumerate_homomorphisms(src: Algebra, dst: Algebra,
     before they are built, and to the |dst|^g assignments of dst's
     elements to the g generators, checked before any dst operation runs.
     """
-    source = _analyse(src, cap)
-    elems, g = source[:2]
+    elems, index, tables = _tabulate(src, cap)
+    g, program = _derivation(src, index, tables)
     tries = dst.size ** len(g)
     if tries > cap:
         raise CapExceeded(f"{tries} generator assignments exceed the cap of {cap}")
+    source = (len(elems), tables, index[src.bot], index[src.top], g, program)
     if not isinstance(dst, ProductAlgebra):
         return [dict(zip(elems, h)) for h in _search(source, dst)]
     homs = {f: _search(source, f) for f in set(dst.factors)}

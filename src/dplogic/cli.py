@@ -48,7 +48,8 @@ def _json_text(value) -> str:
     return text(value)
 
 
-def _emit(args, payload: dict, human: str) -> None:
+def _emit(args, payload: dict, human) -> None:
+    # print converts an int human itself, so only when the text is asked for
     print(_json_text(payload) if args.json else human)
 
 
@@ -116,9 +117,10 @@ def cmd_free(args) -> int:
     payload["coefficients"] = {str(l): m for l, m in dual.chains}
     if cardinality is None:
         cardinality = du.free_cardinality(k)
-    payload["cardinality"] = str(cardinality)
+    # the digits, built once: converting takes time quadratic in their count
+    payload["cardinality"] = digits = str(cardinality)
     lines.append(f"free algebra on {k} generator(s): dual {dual}")
-    lines.append(f"cardinality {cardinality}")
+    lines.append(f"cardinality {digits}")
     if args.mode in ("oracle", "all"):
         if k <= 1:
             oracle = alg.free_algebra_bruteforce(k).count
@@ -161,7 +163,7 @@ def cmd_dual(args) -> int:
         else:
             count = du.morphism_count(c, d)
             payload = {"status": "ok", "count": count}
-            _emit(args, payload, str(count))
+            _emit(args, payload, count)
         return EXIT_OK
     if op == "power":
         if len(args.operands) != 2:
@@ -172,18 +174,17 @@ def cmd_dual(args) -> int:
         payload = {"status": "ok", "result": du.multiset_to_json(out)}
         _emit(args, payload, str(out))
         return EXIT_OK
-    if op == "inverse":
-        if len(args.operands) != 1:
-            raise ParseError("inverse takes one multiset", 0, frozenset())
-        c = _multiset_arg(args.operands[0])
-        algebra = du.mc_inverse(c)
-        sizes = [f.size for f in algebra.factors]
-        payload = {"status": "ok", "algebra": alg.algebra_to_json(algebra),
-                   "size": algebra.size}
-        _emit(args, payload,
-              f"product of chain sizes {sizes} ({algebra.size} elements)")
-        return EXIT_OK
-    raise ParseError(f"unknown dual operation {op!r}", 0, frozenset())
+    # "inverse", the last of the choices the parsers admit
+    if len(args.operands) != 1:
+        raise ParseError("inverse takes one multiset", 0, frozenset())
+    c = _multiset_arg(args.operands[0])
+    algebra = du.mc_inverse(c)
+    sizes = [f.size for f in algebra.factors]
+    payload = {"status": "ok", "algebra": alg.algebra_to_json(algebra),
+               "size": algebra.size}
+    _emit(args, payload,
+          f"product of chain sizes {sizes} ({algebra.size} elements)")
+    return EXIT_OK
 
 
 def cmd_chains(args) -> int:
@@ -232,8 +233,6 @@ def cmd_check(args) -> int:
 # here: action="store_true", type, choices, default, dest and nargs="+".
 _COMMON = (
     ("--json", {"action": "store_true", "help": "machine-readable output"}),
-    ("--cap", {"type": int, "default": alg.DEFAULT_CAP,
-               "help": "maximum evaluated points per sweep"}),
 )
 
 _COMMANDS = {
@@ -241,6 +240,8 @@ _COMMANDS = {
         ("formula", {}),
         ("--variety", {"type": int, "default": None, "metavar": "N",
                        "help": "restrict to the variety of the N-element chain"}),
+        ("--cap", {"type": int, "default": alg.DEFAULT_CAP,
+                   "help": "maximum evaluated points per sweep"}),
     )),
     "free": (cmd_free, "free finitely generated algebra report", (
         ("k", {"type": int}),

@@ -144,12 +144,18 @@ def product(c: MultisetObj, d: MultisetObj) -> MultisetObj:
 
 
 def power(c: MultisetObj, k: int, cap: int = POWER_INSTANCE_CAP) -> MultisetObj:
-    """k-fold product of c with itself; power(c, 0) is the terminal {1}."""
+    """k-fold product of c with itself; power(c, 0) is the terminal {1}.
+
+    A step that leaves the result unchanged ({}, {1} or {2} as c) leaves
+    every later one so and ends the loop; any other c at least doubles
+    the instance count per step, so the cap ends it in about log2(cap)."""
     if k < 0:
         raise ValueError(f"power wants a nonnegative exponent, got {k}")
     out = TERMINAL
     for _ in range(k):
-        out = product(out, c)
+        out, last = product(out, c), out
+        if out == last:
+            break
         if out.instance_count() > cap:
             raise CapExceeded(f"power result exceeds the cap of {cap} chain instances")
     return out

@@ -628,6 +628,25 @@ def test_homomorphism_search_into_a_huge_algebra_stays_cheap():
     assert dst.calls <= 16
 
 
+def test_homomorphism_search_holds_little_beyond_its_sources_tables():
+    # the five projections of a 243-element product onto the 3-chain: the
+    # search verifies each candidate against the source's own tables, so
+    # the process peaks under 25 MB (a bare interpreter takes about 8 MB);
+    # the peak is read as VmHWM, as in the sweep's memory test below
+    from dplogic import algebra
+    code = ("from dplogic import DPChain, ProductAlgebra, enumerate_homomorphisms\n"
+            "src = ProductAlgebra([3] * 5)\n"
+            "homs = enumerate_homomorphisms(src, DPChain(3))\n"
+            "assert homs == [{e: e[i] for e in src.elements()} for i in range(5)]\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status')"
+            " if line.startswith('VmHWM:')))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(algebra.__file__)))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 25 * 1024  # in kB
+
+
 def test_homomorphism_search_tabulates_and_derives_its_source_once(monkeypatch):
     from dplogic import algebra
     calls = {"_tabulate": 0, "_derivation": 0}

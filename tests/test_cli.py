@@ -274,12 +274,12 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
-def run_dp(*argv):
+def run_dp(*argv, timeout=60):
     """`python -S -m dplogic ARGV` in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dplogic.__file__)))
     return subprocess.run([sys.executable, "-S", "-m", "dplogic", *argv],
                           env={"PYTHONPATH": src}, capture_output=True, text=True,
-                          timeout=60)
+                          timeout=timeout)
 
 
 # residues of a long numeral against its value stand in for str(value),
@@ -315,6 +315,66 @@ def test_dp_prints_big_numbers_exactly():
     done = run_dp("free", "6", "--json")
     assert (done.returncode, done.stderr) == (0, "")
     assert_numeral(json.loads(done.stdout)["cardinality"], free_cardinality(6))
+
+
+def test_dp_power_of_a_fixed_base_answers_a_huge_exponent_at_once():
+    for base, want in (("{1}", "{1}"), ("{2}", "{2}"), ("{}", "{}")):
+        done = run_dp("dual", "power", base, str(10**12), timeout=10)
+        assert (done.returncode, done.stdout, done.stderr) == (0, want + "\n", "")
+    done = run_dp("dual", "power", "{3}", str(10**12))
+    assert done.returncode == 3
+    assert done.stderr == "error: power result exceeds the cap of 1000000 chain instances\n"
+
+
+class _CountedDigits(int):
+    """An int that counts its conversions to decimal."""
+
+    conversions = 0
+
+    def __str__(self):
+        _CountedDigits.conversions += 1
+        return int.__str__(self)
+
+    def __format__(self, spec):
+        _CountedDigits.conversions += 1
+        return int.__format__(self, spec)
+
+
+@pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
+def test_big_numbers_are_converted_to_decimal_once(capsys, monkeypatch, json_out):
+    from dplogic import duality as du
+    flag = ("--json",) if json_out else ()
+    monkeypatch.setattr(du, "free_cardinality", lambda k: _CountedDigits(123456789))
+    _CountedDigits.conversions = 0
+    code, out, _ = run(capsys, "free", "3", "--mode", "closed", *flag)
+    assert code == 0 and "123456789" in out
+    assert _CountedDigits.conversions == 1
+    monkeypatch.setattr(du, "morphism_count", lambda c, d: _CountedDigits(987654321))
+    _CountedDigits.conversions = 0
+    code, out, _ = run(capsys, "dual", "homcount", "{3}", "{2}", *flag)
+    assert code == 0 and "987654321" in out
+    # the JSON writer converts through int.__repr__, which the subclass
+    # does not see, so under --json no conversion is left to count
+    assert _CountedDigits.conversions == (0 if json_out else 1)
+
+
+@pytest.mark.parametrize("argv", [["free", "3"], ["dual", "power", "{1}", "2"],
+                                  ["chains", "3"], ["check", "free"]])
+def test_cap_is_a_usage_error_outside_thm(capsys, argv):
+    # thm's --cap is tested by test_thm_cap_exceeded_exits_three
+    for cap in (["--cap", "5"], ["--cap=5"]):
+        code, out, err = run(capsys, *argv, *cap)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --cap" in err
+
+
+def test_check_all_json_matches_the_golden_output():
+    # every row and detail of every suite, byte for byte
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "check_all.json")
+    done = run_dp("check", "all", "--json")
+    assert (done.returncode, done.stderr) == (0, "")
+    with open(golden, encoding="utf-8", newline="") as f:
+        assert done.stdout == f.read()
 
 
 def test_too_deep_formulas_exit_two_without_a_traceback():

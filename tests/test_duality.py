@@ -154,6 +154,28 @@ def test_power_cap():
         power(ms(3, 3, 3), 40, cap=10**4)
 
 
+def test_power_stops_at_a_fixed_point(monkeypatch):
+    # {1}, {2} and the empty multiset are fixed by one more product, so a
+    # huge exponent takes two products; every other base meets the cap
+    from dplogic import duality
+    calls = [0]
+
+    def counted(c, d):
+        calls[0] += 1
+        assert calls[0] <= 2, "power went on past a fixed point"
+        return product(c, d)
+    monkeypatch.setattr(duality, "product", counted)
+    for base in (ms(1), ms(2), EMPTY):
+        calls[0] = 0
+        assert power(base, 10**12) == product(base, base)
+    monkeypatch.undo()
+    assert power(ms(2), 1) == ms(2)
+    assert power(EMPTY, 1) == EMPTY
+    for base in (ms(3), ms(1, 1), ms(1, 2)):
+        with pytest.raises(CapExceeded, match="exceeds the cap of 1000000 chain instances"):
+            power(base, 10**12)
+
+
 def test_mc_inverse():
     boolean = mc_inverse(ms(1))
     assert [f.size for f in boolean.factors] == [2]
