@@ -4,9 +4,9 @@ dual category, with decision procedures and free-algebra computations."""
 from .algebra import (
     CapExceeded, DPChain, EvaluationError, FiniteMTLChain, ProductAlgebra,
     Verdict, delta_axioms, delta_of, discriminator, enumerate_homomorphisms,
-    enumerate_mtl_chains, evaluate, find_embedding, free_algebra_bruteforce,
-    holds, is_dp_chain, is_simple, is_theorem, is_theorem_in_variety,
-    satisfies_axiom, separating_formula, subvariety_index,
+    enumerate_mtl_chains, evaluate, find_embedding, holds, is_dp_chain,
+    is_simple, is_theorem, is_theorem_in_variety, satisfies_axiom,
+    separating_formula, subvariety_index,
 )
 from .duality import (
     MCMorphism, MultisetObj, coproduct, enumerate_morphisms, free_cardinality,
@@ -27,10 +27,10 @@ __all__ = [
     "Strong", "Top", "Var", "Verdict", "coproduct", "delta_axioms",
     "delta_of", "discriminator", "enumerate_homomorphisms",
     "enumerate_morphisms", "enumerate_mtl_chains", "evaluate",
-    "expand_derived", "find_embedding", "free_algebra_bruteforce",
-    "free_cardinality", "free_coefficient", "free_dual", "height", "holds",
-    "is_dp_chain", "is_simple", "is_theorem", "is_theorem_in_variety",
-    "kx3_identity_check", "mc_inverse", "morphism_count", "parse", "power",
-    "product", "satisfies_axiom", "separating_formula", "subvariety_index",
-    "surjection_count", "top_lift", "tr", "variables",
+    "expand_derived", "find_embedding", "free_cardinality",
+    "free_coefficient", "free_dual", "height", "holds", "is_dp_chain",
+    "is_simple", "is_theorem", "is_theorem_in_variety",
+    "kx3_identity_check", "mc_inverse", "morphism_count", "parse",
+    "power", "product", "satisfies_axiom", "separating_formula",
+    "subvariety_index", "surjection_count", "top_lift", "tr", "variables",
 ]

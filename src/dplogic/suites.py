@@ -254,19 +254,19 @@ def duality_suite() -> list[CheckRow]:
 def free_suite() -> list[CheckRow]:
     rows: list[CheckRow] = []
 
-    duals = {k: du.free_dual(k) for k in range(7)}
+    # the power route's duals to k = 6 and the closed form's above, up to the cap
+    duals = {k: du.free_dual(k) if k < 7 else du.free_dual_closed_form(k)
+             for k in range(du.FREE_CARDINALITY_CAP + 1)}
     ok = all(duals[k] == du.free_dual_closed_form(k) == du.free_dual_recurrence(k)
              for k in range(7))
     rows.append(_row("power, closed form and recurrence agree", ok, "k = 0..6"))
 
-    ok = True
-    for k in range(7):
-        value = 1
-        for l, m in duals[k].chains:
-            value *= (l + 1) ** m
-        if value != du.free_cardinality(k):
-            ok = False
-    rows.append(_row("cardinality matches the product of factors", ok, "k = 0..6"))
+    # Hom(F(k), A) is A^k, so dually c has |mc_inverse(c)|^k morphisms into the dual
+    objs = _small_objects(3, 4)
+    ok = all(du.morphism_count(c, dual) == math.prod(l + 1 for l in c.lengths()) ** k
+             for c in objs for k, dual in duals.items())
+    rows.append(_row("universal property: |Hom(c, dual of F(k))| = |c*|^k", ok,
+                     f"{len(objs)} objects, k = 0..{du.FREE_CARDINALITY_CAP}"))
 
     ok = (duals[1] == du.MultisetObj.from_lengths([1, 1, 2, 3])
           and du.free_cardinality(1) == 48
@@ -274,9 +274,13 @@ def free_suite() -> list[CheckRow]:
           and du.free_cardinality(0) == 2)
     rows.append(_row("one generator gives 48 elements with dual {1,1,2,3}", ok))
 
-    ok = (alg.free_algebra_bruteforce(0).count == 2
-          and alg.free_algebra_bruteforce(1).count == 48)
-    rows.append(_row("brute-force term closure agrees", ok, "k = 0 and 1"))
+    # with c = {s-1} the morphisms are the s^k valuations on C_s; those onto
+    # C_s, the exact ones the decision sweep visits, number the (s-1)-chains
+    ok = all(sum(n for n, _ in alg._exact_blocks(k, s, alg._BLOCK_BYTES))
+             == du.free_coefficient(k, s - 1)
+             for k in range(1, 6) for s in range(2, k + 4))
+    rows.append(_row("exact valuations on C_s number the dual's (s-1)-chains", ok,
+                     "k = 1..5, s = 2..k+3"))
 
     ok = all(du.free_coefficient(k, k + 3) == 0 for k in range(7))
     rows.append(_row("coefficients vanish above the variable count", ok))

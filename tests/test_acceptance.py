@@ -11,12 +11,13 @@ import time
 from dplogic import (
     DPChain, MultisetObj, delta_axioms, discriminator, enumerate_homomorphisms,
     enumerate_morphisms, enumerate_mtl_chains, evaluate, find_embedding,
-    free_algebra_bruteforce, free_cardinality, free_dual, holds, is_dp_chain,
-    is_simple, is_theorem, is_theorem_in_variety, mc_inverse, morphism_count,
-    parse, product, satisfies_axiom, separating_formula, variables,
+    free_cardinality, free_dual, holds, is_dp_chain, is_simple, is_theorem,
+    is_theorem_in_variety, mc_inverse, morphism_count, parse, product,
+    satisfies_axiom, separating_formula, variables,
 )
 from dplogic.duality import TERMINAL, free_dual_closed_form, free_dual_recurrence
 from dplogic.suites import random_formula
+from free_oracle import free_algebra_bruteforce
 
 
 def _report(number, label, body, limit=None):

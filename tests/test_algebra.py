@@ -14,15 +14,15 @@ from dplogic import (
     Min, Neg, Or, Power, ProductAlgebra, Strong, Top, Var, Verdict, delta_axioms,
     delta_of, discriminator,
     enumerate_homomorphisms, enumerate_mtl_chains, evaluate, find_embedding,
-    free_algebra_bruteforce, holds, is_dp_chain, is_simple, is_theorem,
-    is_theorem_in_variety, parse, satisfies_axiom, separating_formula,
-    subvariety_index, variables,
+    holds, is_dp_chain, is_simple, is_theorem, is_theorem_in_variety, parse,
+    satisfies_axiom, separating_formula, subvariety_index, variables,
 )
 from dplogic.algebra import (
     algebra_from_json, algebra_to_json, axiom_instance, element_name,
     generating_set, principal_filter, witness_to_json,
 )
 from dplogic.suites import random_formula
+from free_oracle import free_algebra_bruteforce
 
 ALL_OPS = ("prod", "imp", "meet", "join")
 
@@ -882,6 +882,18 @@ def test_exact_valuations_count_the_free_dual_instances():
         assert total == free_dual(k).instance_count()
         counts.append(total)
     assert counts == [4, 18, 94, 582, 4294, 37398]
+
+
+def test_exact_valuations_on_each_chain_number_its_dual_chains():
+    # chain by chain, not only in sum: the exact valuations on C_s are the
+    # homomorphisms of the free algebra onto C_s, one per (s-1)-chain of
+    # its dual
+    from dplogic import free_coefficient
+    from dplogic.algebra import _exact_blocks
+    counts = [sum(n for n, _ in _exact_blocks(6, size, 1 << 16)) for size in range(2, 10)]
+    assert counts == [free_coefficient(6, size - 1) for size in range(2, 10)]
+    assert counts == [64, 665, 3367, 8162, 11340, 9120, 3960, 720]
+    assert sum(counts) == 37398
 
 
 def test_exact_valuation_blocks_do_not_depend_on_the_block_limit():

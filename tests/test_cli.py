@@ -102,7 +102,6 @@ def test_free_one_generator(capsys):
     assert payload["cardinality"] == "48"
     assert multiset_from_json(payload["dual"]) == MultisetObj.from_lengths(
         [1, 1, 2, 3])
-    assert payload["oracle_count"] == 48
 
 
 def test_free_zero(capsys):
@@ -113,14 +112,12 @@ def test_free_zero(capsys):
 
 
 def test_free_oracle_mode(capsys):
-    for k, count in ((0, 2), (1, 48)):
-        code, payload, _ = run_json(capsys, "free", str(k), "--mode", "oracle")
-        assert code == 0
-        assert payload["oracle_count"] == count
-        assert payload["cardinality"] == str(count)
-    code, out, _ = run(capsys, "free", "2", "--mode", "oracle")
-    assert code == 0
-    assert out.endswith("brute-force oracle skipped (needs k <= 1)\n")
+    # no brute-force mode: dp check free checks the free algebra by its
+    # universal property
+    code, out, err = run(capsys, "free", "1", "--mode", "oracle")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: dp free ")
+    assert "argument --mode: invalid choice: 'oracle'" in err
 
 
 def test_free_two_cross_checks_modes(capsys):
@@ -146,7 +143,7 @@ def test_free_cap_exits_three(capsys):
     assert "cap" in err.lower()
 
 
-@pytest.mark.parametrize("mode", ["closed", "power", "oracle", "all"])
+@pytest.mark.parametrize("mode", ["closed", "power", "all"])
 def test_free_far_above_the_caps_exits_three_at_once(capsys, mode):
     # the closed form's sums for k = 3000 would run for minutes; each mode
     # refuses k first, with the message it gives k = 13
@@ -156,7 +153,7 @@ def test_free_far_above_the_caps_exits_three_at_once(capsys, mode):
 
 
 def test_free_refuses_a_negative_k_alike_in_every_mode(capsys):
-    for mode in ("closed", "power", "oracle", "all"):
+    for mode in ("closed", "power", "all"):
         assert run(capsys, "free", "-1", "--mode", mode) == (
             2, "", "error: need k >= 0, got -1\n")
 
@@ -366,6 +363,16 @@ def test_cap_is_a_usage_error_outside_thm(capsys, argv):
         code, out, err = run(capsys, *argv, *cap)
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --cap" in err
+
+
+@pytest.mark.parametrize("argv, unknown", [(["free", "3", "--cap", "5"], "--cap 5"),
+                                           (["thm", "--bogus", "x"], "--bogus")])
+def test_unknown_options_get_the_subcommand_usage(capsys, argv, unknown):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert lines[0].startswith(f"usage: dp {argv[0]} [-h]")
+    assert lines[-1] == f"dp {argv[0]}: error: unrecognized arguments: {unknown}"
 
 
 def test_check_all_json_matches_the_golden_output():

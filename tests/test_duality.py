@@ -352,6 +352,16 @@ def test_free_cardinality():
         free_cardinality(13)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 8), max_size=5), st.integers(0, 12))
+def test_free_dual_has_the_universal_property(lengths, k):
+    # Hom(F(k), A) is A^k, so a multiset c has |mc_inverse(c)|^k morphisms
+    # into the free dual, here the closed form's, the route up to the cap
+    c = MultisetObj.from_lengths(lengths)
+    assert (morphism_count(c, free_dual_closed_form(k))
+            == math.prod(l + 1 for l in lengths) ** k)
+
+
 def test_kx3_identity():
     assert kx3_identity_check(2)
     assert kx3_identity_check(3)

@@ -11,8 +11,8 @@ from dplogic import (
     Bot, DPChain, FiniteMTLChain, Imp, MCMorphism, Min, MultisetObj, Neg,
     Power, ProductAlgebra, Strong, Top, Var, Verdict,
 )
-from dplogic.algebra import FreeAlgebraTable
 from dplogic.formula import compile, parse
+from free_oracle import FreeAlgebraTable
 
 
 def test_equality_is_by_class_and_fields():
