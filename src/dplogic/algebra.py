@@ -373,7 +373,9 @@ def enumerate_mtl_chains(n: int) -> list[FiniteMTLChain]:
     monotone.  FiniteMTLChain keeps the associative ones.  Tables are
     produced in lexicographic order of the free entries.
     """
-    if not 2 <= n <= 5:
+    if n < 2:
+        raise ValueError(f"a chain needs at least 2 elements, got {n}")
+    if n > 5:
         raise ValueError(f"chain enumeration is capped at size 5, got {n}")
     top = n - 1
     free = [(x, y) for x in range(1, top) for y in range(x, top)]

@@ -1,8 +1,8 @@
 """Command-line front end: the `dp` tool.
 
-Exit codes: 0 for theorems and successful commands, 1 for non-theorems,
-failed check suites and disagreeing free-algebra routes, 2 for usage or
-parse errors, 3 when a computation would exceed its cap.
+Exit codes: 0 for theorems and successful commands, 1 for non-theorems
+and failed check suites, 2 for usage or parse errors, 3 when a
+computation would exceed its cap.
 """
 
 from __future__ import annotations
@@ -92,28 +92,16 @@ def cmd_thm(args) -> int:
     return EXIT_FAIL
 
 
-def _route_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_FAIL
-
-
 def cmd_free(args) -> int:
     k = args.k
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    # a k above the caps is refused before the closed form's O(k^2)
-    # big-integer sums: by power's instance cap in the power and all
-    # modes, by free_cardinality's k cap in closed mode
-    by_power = args.mode != "closed"
-    cardinality = None if by_power else du.free_cardinality(k)
-    dual = du.free_dual(k) if by_power else du.free_dual_closed_form(k)
-    if args.mode == "all" and dual != du.free_dual_closed_form(k):
-        return _route_error("closed form and power disagree")
-    if args.mode == "all" and dual != du.free_dual_recurrence(k):
-        return _route_error("recurrence disagrees")
+    # the power route's instance cap refuses a k above the caps within a
+    # few products, before free_cardinality's big-integer work
+    dual = du.free_dual(k)
     # the digits, built once: converting takes time quadratic in their count
-    digits = str(du.free_cardinality(k) if by_power else cardinality)
-    payload = {"status": "ok", "k": k, "mode": args.mode, "cardinality": digits,
+    digits = str(du.free_cardinality(k))
+    payload = {"status": "ok", "k": k, "cardinality": digits,
                "dual": du.multiset_to_json(dual),
                "coefficients": {str(l): m for l, m in dual.chains}}
     _emit(args, payload, f"free algebra on {k} generator(s): dual {dual}\n"
@@ -232,8 +220,6 @@ _COMMANDS = {
     )),
     "free": (cmd_free, "free finitely generated algebra report", (
         ("k", {"type": int}),
-        ("--mode", {"choices": ("closed", "power", "all"),
-                    "default": "all"}),
     )),
     "dual": (cmd_dual, "multiset-of-chains computations", (
         ("op", {"choices": ("product", "coproduct", "power", "homcount",

@@ -28,7 +28,7 @@ ENUM_INSTANCE_CAP = 8
 
 ENUM_LENGTH_CAP = 8
 
-FREE_CARDINALITY_CAP = 12
+FREE_CARDINALITY_CAP = 8
 
 
 class MultisetObj(Record):

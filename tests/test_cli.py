@@ -117,24 +117,24 @@ def test_free_oracle_mode(capsys):
     code, out, err = run(capsys, "free", "1", "--mode", "oracle")
     assert (code, out) == (2, "")
     assert err.startswith("usage: dp free ")
-    assert "argument --mode: invalid choice: 'oracle'" in err
+    assert "unrecognized arguments: --mode oracle" in err
+
+
+@pytest.mark.parametrize("mode", ["closed", "power", "all"])
+def test_free_has_no_modes(capsys, mode):
+    # dp free answers by the power route alone; the routes' agreement is
+    # checked by dp check free and the tests
+    code, out, err = run(capsys, "free", "3", "--mode", mode)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: dp free ")
+    assert err.endswith(f"dp free: error: unrecognized arguments: --mode {mode}\n")
 
 
 def test_free_two_cross_checks_modes(capsys):
-    code, payload, _ = run_json(capsys, "free", "2", "--mode", "all")
+    code, payload, _ = run_json(capsys, "free", "2")
     assert code == 0
     assert payload["coefficients"] == {"1": 4, "2": 5, "3": 7, "4": 2}
     assert payload["cardinality"] == "1592524800"
-
-
-def test_free_route_disagreement_exits_one(capsys, monkeypatch):
-    from dplogic import duality
-    monkeypatch.setattr(duality, "free_dual_recurrence",
-                        lambda k: MultisetObj.from_lengths([1]))
-    code, out, err = run(capsys, "free", "1")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and "recurrence disagrees" in err
 
 
 def test_free_cap_exits_three(capsys):
@@ -143,19 +143,16 @@ def test_free_cap_exits_three(capsys):
     assert "cap" in err.lower()
 
 
-@pytest.mark.parametrize("mode", ["closed", "power", "all"])
-def test_free_far_above_the_caps_exits_three_at_once(capsys, mode):
-    # the closed form's sums for k = 3000 would run for minutes; each mode
-    # refuses k first, with the message it gives k = 13
-    want = run(capsys, "free", "13", "--mode", mode)
+def test_free_far_above_the_caps_exits_three_at_once(capsys):
+    # the closed form's sums for k = 3000 would run for minutes; k is
+    # refused first, with the message k = 13 gets
+    want = run(capsys, "free", "13")
     assert want[0] == 3 and want[1] == ""
-    assert run(capsys, "free", "3000", "--mode", mode) == want
+    assert run(capsys, "free", "3000") == want
 
 
 def test_free_refuses_a_negative_k_alike_in_every_mode(capsys):
-    for mode in ("closed", "power", "all"):
-        assert run(capsys, "free", "-1", "--mode", mode) == (
-            2, "", "error: need k >= 0, got -1\n")
+    assert run(capsys, "free", "-1") == (2, "", "error: need k >= 0, got -1\n")
 
 
 def test_free_six_renders_huge_cardinality(capsys):
@@ -244,6 +241,12 @@ def test_chains_size_cap(capsys):
     code, _, err = run(capsys, "chains", "6")
     assert code == 2
     assert "5" in err
+
+
+def test_chains_below_two_elements_say_so(capsys):
+    for n in ("1", "0", "-3"):
+        assert run(capsys, "chains", n) == (
+            2, "", f"error: a chain needs at least 2 elements, got {n}\n")
 
 
 def test_check_suites_pass(capsys):
@@ -343,7 +346,7 @@ def test_big_numbers_are_converted_to_decimal_once(capsys, monkeypatch, json_out
     flag = ("--json",) if json_out else ()
     monkeypatch.setattr(du, "free_cardinality", lambda k: _CountedDigits(123456789))
     _CountedDigits.conversions = 0
-    code, out, _ = run(capsys, "free", "3", "--mode", "closed", *flag)
+    code, out, _ = run(capsys, "free", "3", *flag)
     assert code == 0 and "123456789" in out
     assert _CountedDigits.conversions == 1
     monkeypatch.setattr(du, "morphism_count", lambda c, d: _CountedDigits(987654321))
@@ -489,7 +492,7 @@ def test_canonical_parser_agrees_with_argparse():
     # the command lines the benchmark and the README use are canonical
     for argv in (["thm", "--json", "x \\/ ~x"], ["thm", "--variety", "2", "x"],
                  ["thm", "x", "--cap=10"], ["thm", "-"], ["free", "3", "--json"],
-                 ["free", "2", "--mode", "all"], ["dual", "power", "{1,3}", "2"],
+                 ["dual", "power", "{1,3}", "2"],
                  ["dual", "product", "{3}", "{3}", "--json"],
                  ["chains", "4", "--class", "wnm", "--json"], ["check", "all"]):
         assert cli._parse_canonical(argv) == _argparse_values(parser, argv), argv

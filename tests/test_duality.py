@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from functools import cache
 
 import pytest
@@ -350,6 +353,50 @@ def test_free_cardinality():
         free_cardinality(-1)
     with pytest.raises(CapExceeded):
         free_cardinality(13)
+
+
+def test_free_cardinality_refuses_nine_to_twelve_at_once():
+    # the products for k = 9..12 run from 171 Mbit to about 754 Gbit; in a
+    # child, so that a cap admitting them ends at the timeout, not in a stall
+    from dplogic import duality
+    code = ("from dplogic import CapExceeded, free_cardinality\n"
+            "for k in range(9, 13):\n"
+            "    try:\n"
+            "        free_cardinality(k)\n"
+            "    except CapExceeded as exc:\n"
+            "        print(exc)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(duality.__file__)))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "free cardinality capped at k = 8\n" * 4
+
+
+def _failing_check_rows() -> list[str]:
+    from dplogic import suites
+    return [name for name, ok, _ in suites.run_suite("all") if not ok]
+
+
+def test_check_rows_catch_a_wrong_product_and_a_wrong_coefficient(monkeypatch):
+    # each fault lies outside every other row's reach: the other product
+    # rows pair lengths of at most 4 or multiply by {3} or by {1,1,2,3},
+    # and no other row reads the coefficients of F(9)'s dual above length 4
+    from dplogic import duality
+    real_product, real_coefficient = duality._singleton_product, duality.free_coefficient
+
+    def wrong_product(a, b):
+        out = real_product(a, b)
+        if min(a, b) < 5:
+            return out
+        (length, mult), *rest = out
+        return ((length, mult + 1), *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(duality, "_singleton_product", wrong_product)
+        assert _failing_check_rows() == ["single-chain products lift their predecessors"]
+    monkeypatch.setattr(duality, "free_coefficient",
+                        lambda k, h: real_coefficient(k, h) + ((k, h) == (9, 5)))
+    assert _failing_check_rows() == ["the closed form takes the power step"]
 
 
 @settings(max_examples=300, deadline=None)
