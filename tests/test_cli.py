@@ -143,12 +143,18 @@ def test_free_cap_exits_three(capsys):
     assert "cap" in err.lower()
 
 
-def test_free_far_above_the_caps_exits_three_at_once(capsys):
-    # the closed form's sums for k = 3000 would run for minutes; k is
-    # refused first, with the message k = 13 gets
-    want = run(capsys, "free", "13")
+@pytest.mark.parametrize("route", ["closed", "power", "all"])
+def test_free_far_above_the_caps_exits_three_at_once(capsys, monkeypatch, route):
+    # the closed form's sums for k = 3000 would run for minutes; each route
+    # refuses k first, with the message it gives k = 13
+    if route == "closed":
+        # free_cardinality's own cap, with the power route out of the way
+        from dplogic import duality as du
+        monkeypatch.setattr(du, "free_dual", lambda k: du.FREE_ONE_DUAL)
+    argv = (("dual", "power", "{1,1,2,3}") if route == "power" else ("free",))
+    want = run(capsys, *argv, "13")
     assert want[0] == 3 and want[1] == ""
-    assert run(capsys, "free", "3000") == want
+    assert run(capsys, *argv, "3000") == want
 
 
 def test_free_refuses_a_negative_k_alike_in_every_mode(capsys):
