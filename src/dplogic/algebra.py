@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Mapping
-from functools import cache, reduce
+from functools import reduce
 
 from .formula import (
     Compiled, Formula, Iff, Neg, Or, Power, Record, Var, compile, parse,
@@ -647,87 +647,116 @@ _LANE = tuple(bytes((x,)) for x in range(16))
 _BLOCK_BYTES = 1 << 20
 
 
-def _exact_blocks(k: int, size: int, limit: int):
-    """The exact valuations of k variables on the size-chain, in
-    lexicographic order, as blocks of byte columns.
+class _Prefixes:
+    """The prefix tree of the exact valuations of k variables on the
+    size-chain, each rank x written as the byte image[x].
 
-    Yields (n, columns): n points, and per variable an n-byte column whose
-    p-th byte is its value at the block's p-th point.  Exact means that the
-    values generate the whole chain: any values on the 2-chain; the coatom
-    among them on the 3-chain; every rank strictly between 0 and the
-    coatom among them on a longer chain (the coatom is then a negation).
-    Prefixes that leave too few variables for the ranks still missing are
-    cut, so no inexact valuation is ever built.
-
-    A block is a run of whole subtrees of the prefix tree.  The first holds
-    one point and each later one at most four times as many as the one
-    before, up to `limit` points, so a refutation met early costs little.
-    A subtree's columns are joined from its children's and remembered by
-    (variable index, ranks still missing) up to _BLOCK_BYTES, so memory
-    stays bounded however many points the chain has.
+    Exact means that the values generate the whole chain: any values on
+    the 2-chain; the coatom among them on the 3-chain; every rank strictly
+    between 0 and the coatom among them on a longer chain (the coatom is
+    then a negation).  A node is a prefix of length i with the set of
+    ranks 1..need it still misses (bit r set while rank r has not
+    occurred).  Prefixes that leave too few variables for the ranks still
+    missing are cut, so no inexact valuation is ever built.
     """
-    need = size - 3 if size > 3 else size - 2  # ranks 1..need must occur
 
-    @cache
-    def count(i: int, m: int) -> int:
-        # completions of a prefix of length i that leaves m ranks missing;
-        # how many are missing matters, not which
-        room = k - i
-        if not room:
-            return int(not m)
-        return (((size - m) * count(i + 1, m) if m < room else 0)
-                + (m * count(i + 1, m - 1) if m else 0))
+    def __init__(self, k: int, size: int, image: bytes = bytes(range(16))):
+        self.k, self.size, self.image = k, size, image
+        self.need = size - 3 if size > 3 else size - 2  # ranks 1..need must occur
+        self.root = ((1 << self.need) - 1) << 1  # at the root, all are missing
+        self._counts: dict = {}
+        self._fans: dict = {}
+        self._memo: dict = {}
+        self._held = 0  # bytes in _memo, which is emptied when they pass _BLOCK_BYTES
 
-    def children(i: int, missing: int):
-        # bit r of missing is set while rank r has not occurred
-        for x in range(size):
-            left = missing & ~(1 << x)
-            if left.bit_count() < k - i:
-                yield x, left
+    def count(self, i: int, m: int) -> int:
+        """Completions of a prefix of length i that misses m ranks; how
+        many are missing matters, not which."""
+        got = self._counts.get((i, m))
+        if got is None:
+            room = self.k - i
+            if not room:
+                got = int(not m)
+            else:
+                got = (((self.size - m) * self.count(i + 1, m) if m < room else 0)
+                       + (m * self.count(i + 1, m - 1) if m else 0))
+            self._counts[i, m] = got
+        return got
 
-    memo: dict = {}
-    held = 0  # bytes in memo, which is emptied when they pass _BLOCK_BYTES
+    def fan(self, i: int, missing: int) -> tuple[bytes, list[int], list[int]]:
+        """The children of a node of length i: their values, and per child
+        the ranks it misses and its completions."""
+        got = self._fans.get((i, missing))
+        if got is None:
+            xs, lefts = [], []
+            for x in range(self.size):
+                left = missing & ~(1 << x)
+                if left.bit_count() < self.k - i:
+                    xs.append(self.image[x])
+                    lefts.append(left)
+            got = self._fans[i, missing] = (
+                bytes(xs), lefts, [self.count(i + 1, left.bit_count()) for left in lefts])
+        return got
 
-    def suffix(i: int, missing: int) -> tuple[bytes, ...]:
-        # columns i..k-1 of the subtree below a prefix of length i
-        nonlocal held
-        cols = memo.get((i, missing))
+    def suffix(self, i: int, missing: int) -> tuple[bytes, ...]:
+        """Columns i..k-1 of the subtree below a node of length i."""
+        cols = self._memo.get((i, missing))
         if cols is None:
-            parts: list[list[bytes]] = [[] for _ in range(k - i)]
-            for x, left in children(i, missing):
-                parts[0].append(_LANE[x] * count(i + 1, left.bit_count()))
-                for part, col in zip(parts[1:], suffix(i + 1, left)):
+            parts: list[list[bytes]] = [[] for _ in range(self.k - i)]
+            for x, left, c in zip(*self.fan(i, missing)):
+                parts[0].append(_LANE[x] * c)
+                for part, col in zip(parts[1:], self.suffix(i + 1, left)):
                     part.append(col)
             cols = tuple(map(b"".join, parts))
-            if held > _BLOCK_BYTES:
-                memo.clear()
-                held = 0
-            memo[i, missing] = cols
-            held += sum(map(len, cols))
+            if self._held > _BLOCK_BYTES:
+                self._memo.clear()
+                self._held = 0
+            self._memo[i, missing] = cols
+            self._held += sum(map(len, cols))
         return cols
 
+
+def _exact_blocks(k: int, size: int, limit: int,
+                  found: Iterable[tuple[bytes, int]] | None = None,
+                  image: bytes = bytes(range(16))):
+    """The exact valuations of k variables on the size-chain, in
+    lexicographic order and each rank x written as the byte image[x], as
+    blocks of byte columns; with found, only the points below its nodes,
+    (prefix, missing) pairs in that order.
+
+    Yields (n, columns): n points, and per variable an n-byte column whose
+    p-th byte is its value at the block's p-th point.  A block is a run of
+    whole subtrees of the prefix tree.  The first holds one point and each
+    later one at most four times as many as the one before, up to `limit`
+    points, so a refutation met early costs little.  A subtree's columns
+    are joined from its children's and remembered by (variable index,
+    ranks still missing) up to _BLOCK_BYTES, so memory stays bounded
+    however many points the chain has.
+    """
+    tree = _Prefixes(k, size, image)
     target = 1
 
-    def subtrees(i: int, missing: int, prefix: tuple):
+    def subtrees(i: int, missing: int, prefix: bytes):
         # the largest subtrees that fit in the block being filled
-        if count(i, missing.bit_count()) <= target:
+        if tree.count(i, missing.bit_count()) <= target:
             yield prefix, missing
         else:
-            for x, left in children(i, missing):
-                yield from subtrees(i + 1, left, prefix + (x,))
+            xs, lefts, _ = tree.fan(i, missing)
+            for x, left in zip(xs, lefts):
+                yield from subtrees(i + 1, left, prefix + _LANE[x])
 
     block: list = []
     n = 0
-    # at the root, all of ranks 1..need are missing
-    for prefix, missing in subtrees(0, ((1 << need) - 1) << 1, ()):
-        i = len(prefix)
-        c = count(i, missing.bit_count())
-        if n + c > target:
-            yield n, _join(block)
-            block, n = [], 0
-            target = min(4 * target, limit)
-        block.append([_LANE[x] * c for x in prefix] + list(suffix(i, missing)))
-        n += c
+    for node, missing in [(b"", tree.root)] if found is None else found:
+        for prefix, missing in subtrees(len(node), missing, node):
+            i = len(prefix)
+            c = tree.count(i, missing.bit_count())
+            if n + c > target:
+                yield n, _join(block)
+                block, n = [], 0
+                target = min(4 * target, limit)
+            block.append([_LANE[x] * c for x in prefix] + list(tree.suffix(i, missing)))
+            n += c
     yield n, _join(block)
 
 
@@ -736,11 +765,185 @@ def _join(block: list[list[bytes]]) -> list[bytes]:
     return [b"".join(col) for col in zip(*block)]
 
 
+# How far _surviving looks.  A chain of at most _SMALL exact points is
+# tested point by point, in one pass.  Longer chains are tested in runs
+# that share their passes; a run holds at most _RUN points, or as many as
+# all chains before it, so a refutation leaves little shared work behind.
+# A run starts at the shortest prefix length that gives it _JUMP prefixes.
+# Its first pass takes at most _FIRST_PASS prefixes and each later pass at
+# most four times as many, while their children fit in a block.  The
+# survivors of a pass are tested a level deeper while they cover at most
+# _FEW points, or while the prefixes the run has tested stay within a
+# quarter of the points it has pruned plus 1/_SLACK of its points; the
+# rest is swept.
+_SMALL = 64
+_RUN = 1 << 14
+_JUMP = 32
+_FIRST_PASS = 64
+_FEW = 2048
+_SLACK = 1024
+
+
+def _surviving(trees: list[_Prefixes], limit: int, keep):
+    """The nodes of the trees that keep leaves, as (tree, prefix,
+    missing): chain by chain, each chain's in lexicographic order.
+
+    keep(i, n, columns) gets n prefixes of length i, as i columns of n
+    bytes, and returns n bytes, 0 for a prefix none of whose completions
+    needs a sweep.  Nothing below a prefix it rules out is built.  Before
+    each pass (tree, None, None) names the chain of its first prefix: the
+    chains before it are done.
+    """
+    k = trees[0].k
+    width = fanout = tested = pruned = slack = 0
+    ahead = None
+
+    def grow(i: int, rows: bytes, owners: list, misses: list[int], live: Iterable[int]):
+        # the children of the prefixes rows[r] (i bytes each), r in live
+        heads, tails, kids, lefts, counts = [], [], [], [], []
+        for r in live:
+            tree = owners[r]
+            xs, more, cs = tree.fan(i, misses[r])
+            heads.append((rows[r * i:r * i + i] + b"\0") * len(xs))
+            tails.append(xs)
+            kids += [tree] * len(xs)
+            lefts += more
+            counts += cs
+        out = bytearray(b"".join(heads))
+        out[i::i + 1] = b"".join(tails)
+        return i + 1, bytes(out), kids, lefts, counts
+
+    def walk(i: int, rows: bytes, owners: list, misses: list[int], counts: list[int]):
+        nonlocal width, ahead, tested, pruned
+        start = 0
+        while start < len(misses):
+            if owners[start] is not ahead:
+                ahead = owners[start]
+                yield ahead, None, None
+            n = len(misses) - start
+            if n > 2 * width:
+                n = width
+            part = rows[start * i:(start + n) * i]
+            live = list(itertools.compress(range(start, start + n),
+                                           keep(i, n, [part[j::i] for j in range(i)])))
+            width = min(4 * width, max(1, limit // fanout))
+            points = sum(counts[r] for r in live)
+            tested += n
+            pruned += sum(counts[start:start + n]) - points
+            start += n
+            if i < k and (points <= _FEW
+                          or tested + len(live) * fanout <= slack + pruned // 4):
+                yield from walk(*grow(i, rows, owners, misses, live))
+            else:
+                for r in live:
+                    yield owners[r], rows[r * i:r * i + i], misses[r]
+
+    runs: list[list] = []  # [chains, their points]
+    before = 0  # points in the chains before the last run
+    for tree in trees:
+        points = tree.count(0, tree.need)
+        if not points:
+            continue
+        if (runs and min(points, runs[-1][1]) > _SMALL
+                and runs[-1][1] + points <= max(_RUN, before)):
+            runs[-1][0].append(tree)
+            runs[-1][1] += points
+        else:
+            before += runs[-1][1] if runs else 0
+            runs.append([[tree], points])
+    for run, held in runs:
+        level = (0, b"", run, [t.root for t in run], [t.count(0, t.need) for t in run])
+        # a short chain goes down to its points at once
+        while level[0] < k and (held <= _SMALL or level[0] + 1 < k and len(level[3]) < _JUMP):
+            level = grow(*level[:4], range(len(level[3])))
+        width, fanout, tested, pruned, slack = _FIRST_PASS, run[-1].size, 0, 0, held // _SLACK
+        yield from walk(*level)
+
+
 def _lane_tables(chain: DPChain) -> dict[str, bytes]:
     """_tabulate's tables of a chain of at most 16 elements as 256-byte
     tables for bytes.translate: byte x * size + y holds op(x, y)."""
     return {op: bytes(table).ljust(256, b"\0")
             for op, table in zip(("&", "->", "/\\", "\\/"), _tabulate(chain)[2])}
+
+
+class _Lanes:
+    """A formula's slot code on byte lanes of C_last, on points or on the
+    intervals that prefixes leave.
+
+    Bound slot 2s holds a lower bound of slot s and 2s+1 an upper bound.
+    A prefix of length i leaves variables i..k-1 free, at [0, top].  Every
+    operation is monotone in both arguments except ->, which is antitone
+    in its antecedent, so x -> y lies between hi(x) -> lo(y) and
+    lo(x) -> hi(y).  Only the bounds that the root's lower bound reads are
+    computed, and bounds that no assigned variable reaches are folded to
+    constants once per prefix length.  On whole points (i = k) each slot
+    has one value, kept as its lower bound.
+    """
+
+    def __init__(self, program: Compiled, last: int):
+        chain = DPChain(last)
+        tables = _lane_tables(chain)
+        self.last, self.top, self.k = last, chain.top, len(program.names)
+        first = 2 + self.k
+        self.slots = 2 * (first + len(program.code))
+        self.root = 2 * program.root
+        read = [False] * self.slots
+        read[self.root] = True
+        steps = []
+        for out in range(first + len(program.code) - 1, first - 1, -1):
+            op, a, b = program.code[out - first]
+            flip = op == "->"
+            for hi in (1, 0):
+                if read[2 * out + hi]:
+                    x, y = 2 * a + (hi ^ flip), 2 * b + hi
+                    read[x] = read[y] = True
+                    steps.append((tables[op], x, y, 2 * out + hi))
+        self.steps = steps[::-1]
+        self.points = [(tables[op], 2 * a, 2 * b, 2 * out)
+                       for out, (op, a, b) in enumerate(program.code, first)]
+        self.folded: dict = {}
+
+    def _fold(self, i: int):
+        # for prefixes of length i: the constant of every bound slot that
+        # no assigned variable reaches, the constants the lane steps read,
+        # the lane steps, and whether the root varies
+        got = self.folded.get(i)
+        if got is None:
+            w = [0] * self.slots
+            w[2] = w[3] = self.top
+            for j in range(2 + i, 2 + self.k):
+                w[2 * j + 1] = self.top
+            varying = set(range(4, 4 + 2 * i))
+            code = []
+            for step in self.points if i == self.k else self.steps:
+                table, x, y, out = step
+                if x in varying or y in varying:
+                    varying.add(out)
+                    code.append(step)
+                else:
+                    w[out] = table[w[x] * self.last + w[y]]
+            spread = {z for _, x, y, _ in code for z in (x, y)} - varying
+            got = self.folded[i] = w, sorted(spread), code, self.root in varying
+        return got
+
+    def lower(self, i: int, n: int, cols: list[bytes]) -> bytes:
+        """The root's lower bound on n lanes, where cols are the columns
+        of variables 0..i-1, as elements of C_last."""
+        w, spread, code, varies = self._fold(i)
+        if not varies:
+            return _LANE[w[self.root]] * n
+        v = w[:]
+        ones = int.from_bytes(b"\1" * n, "little")
+        for z in spread:
+            v[z] = w[z] * ones
+        for j, col in enumerate(cols, 2):
+            v[2 * j] = v[2 * j + 1] = int.from_bytes(col, "little")
+        last = self.last
+        for table, x, y, out in code:
+            v[out] = int.from_bytes(
+                (v[x] * last + v[y]).to_bytes(n, "little").translate(table), "little")
+        return v[self.root].to_bytes(n, "little")
 
 
 def is_theorem(f: Formula, cap: int = DEFAULT_CAP) -> Verdict:
@@ -769,6 +972,16 @@ def is_theorem(f: Formula, cap: int = DEFAULT_CAP) -> Verdict:
     up in the operation's 256-byte table at once.  Chains above 16
     elements (k >= 14) do not fit a lane and raise CapExceeded whatever
     the cap.
+
+    Prefixes of valuations are tested before their columns are built.
+    Every operation is monotone in each argument, except -> in its
+    antecedent, where it is antitone, so the slot code run on intervals,
+    each unassigned variable at [0, top], bounds every completion of a
+    prefix (_Lanes).  A prefix whose root has the top as its lower bound
+    holds at every completion: its subtree is dropped unbuilt, and only
+    the surviving subtrees are swept (_surviving says how deep the bounds
+    look).  No prefix that could refute is dropped, so the countermodel is
+    the one above, and the cap still counts every exact valuation.
     """
     program = compile(f)
     return _exact_sweep(program, len(program.names) + 3, cap)
@@ -791,8 +1004,8 @@ def is_theorem_in_variety(f: Formula, n: int, cap: int = DEFAULT_CAP) -> Verdict
 
 
 def _exact_sweep(program: Compiled, last: int, cap: int) -> Verdict:
-    # the exact valuations of C_2, ..., C_last, column-wise, as is_theorem
-    # describes
+    # the exact valuations of C_2, ..., C_last, column-wise and bounded,
+    # as is_theorem describes
     from .duality import free_coefficient  # duality imports this module
 
     k = len(program.names)
@@ -805,29 +1018,31 @@ def _exact_sweep(program: Compiled, last: int, cap: int) -> Verdict:
     points = sum(free_coefficient(k, s - 1) for s in sizes)
     if points > cap:
         raise CapExceeded(f"{_count_text(points)} valuations exceed the cap of {cap}")
-    code, root = program.code, program.root
+    # every chain runs on C_last's tables, its ranks mapped by find_embedding
+    lanes = _Lanes(program, last)
+    big = DPChain(last)
+    refutes = b"\1" * big.top + b"\0" + b"\1" * (255 - big.top)
+    trees = [_Prefixes(k, s, bytes(find_embedding(DPChain(s), big)).ljust(256, b"\0"))
+             for s in sizes]
     # the block size that keeps every column of a block within the budget
-    limit = max(1, _BLOCK_BYTES // (2 + k + len(code)))
-    for size in sizes:
-        chain = DPChain(size)
-        top = chain.top
-        tables = _lane_tables(chain)
-        ops = [(tables[op], a, b, out) for out, (op, a, b) in enumerate(code, 2 + k)]
-        refutes = bytes(x != top for x in range(256))
-        v = [0] * (2 + k + len(ops))
-        for n, cols in _exact_blocks(k, size, limit):
-            v[1] = int.from_bytes(_LANE[top] * n, "little")
-            v[2:2 + k] = [int.from_bytes(col, "little") for col in cols]
-            for table, a, b, out in ops:
-                v[out] = int.from_bytes(
-                    (v[a] * size + v[b]).to_bytes(n, "little").translate(table),
-                    "little")
-            lanes = v[root].to_bytes(n, "little")
-            p = lanes.translate(refutes).find(1)
+    limit = max(1, _BLOCK_BYTES // (2 + k + len(program.code)))
+
+    def keep(i: int, n: int, cols: list[bytes]) -> bytes:
+        return lanes.lower(i, n, cols).translate(refutes)
+
+    found = _surviving(trees, limit, keep)
+    for tree, group in itertools.groupby(found, key=lambda node: node[0]):
+        nodes = (node[1:] for node in group if node[1] is not None)
+        for n, cols in _exact_blocks(k, tree.size, limit, nodes, tree.image):
+            if not n:
+                continue
+            values = lanes.lower(k, n, cols)
+            p = values.translate(refutes).find(1)
             if p >= 0:
-                return Verdict(False, chain,
-                               {name: col[p] for name, col in zip(program.names, cols)},
-                               lanes[p])
+                rank = tree.image.index
+                return Verdict(False, DPChain(tree.size),
+                               {name: rank(col[p]) for name, col in zip(program.names, cols)},
+                               rank(values[p]))
     return Verdict(True)
 
 

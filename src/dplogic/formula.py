@@ -62,14 +62,48 @@ class Record:
             _setattr(self, name, value)
         self.__post_init__()
 
+    # ==, hash and repr walk nested records on an explicit stack, so a
+    # formula of any depth compares, hashes and prints
+
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) == self._key(other)
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            for x, y in zip(a._values(), b._values()):
+                if x is y:
+                    continue
+                if x.__class__ is y.__class__ and _walks(x, "__eq__"):
+                    pairs.append((x, y))
+                elif not x == y:
+                    return False
+        return True
 
     def __hash__(self):
+        # the hash of the tuple of the fields, a nested record standing in
+        # by its own hash: children are hashed before their parents
+        values = self._values()
+        if not any(_walks(v, "__hash__") for v in values):
+            return hash(values)
+        hashes: dict[int, int] = {}
+        todo = [self]
+        while todo:
+            record = todo[-1]
+            values = record._values()
+            nested = [v for v in values if _walks(v, "__hash__") and id(v) not in hashes]
+            if nested:
+                todo += nested
+                continue
+            todo.pop()
+            hashes[id(record)] = hash(tuple(
+                _Hashed(hashes[id(v)]) if _walks(v, "__hash__") else v for v in values))
+        return hashes[id(self)]
+
+    def _values(self) -> tuple:
+        # the field values as a tuple, however many fields there are
         key = self._key(self)
-        return hash((key,) if len(self._fields) == 1 else key)
+        return (key,) if len(self._fields) == 1 else key
 
     def _bind(self, args: tuple, kwargs: dict) -> list:
         fields, name = self._fields, type(self).__name__
@@ -93,12 +127,22 @@ class Record:
         pass
 
     def __repr__(self) -> str:
-        # a loop, not a generator: nested records repr recursively, and a
-        # generator frame per level would halve the depth that prints
-        parts = []
-        for name in self._fields:
-            parts.append(f"{name}={getattr(self, name)!r}")
-        return f"{type(self).__qualname__}({', '.join(parts)})"
+        out: list[str] = []
+        todo: list = [self]
+        while todo:
+            item = todo.pop()
+            if type(item) is _Text:
+                out.append(item)
+            elif _walks(item, "__repr__"):
+                todo.append(_Text(")"))
+                for n in range(len(item._fields) - 1, -1, -1):
+                    name = item._fields[n]
+                    todo.append(getattr(item, name))
+                    todo.append(_Text(f"{', ' if n else ''}{name}="))
+                todo.append(_Text(f"{type(item).__qualname__}("))
+            else:
+                out.append(repr(item))
+        return "".join(out)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -110,6 +154,29 @@ class Record:
         # pickle and copy rebuild through __init__: slots have no __dict__
         # to restore and assignment is refused
         return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+def _walks(value, method: str) -> bool:
+    # a record whose method is Record's own, walked rather than called
+    return isinstance(value, Record) and getattr(type(value), method) is getattr(Record, method)
+
+
+class _Hashed:
+    """Stands in for a record whose hash is known: hashes as it does."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
+
+
+class _Text(str):
+    """Literal text of a repr, as opposed to a field value."""
+
+    __slots__ = ()
 
 
 class Formula(Record):
@@ -235,12 +302,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 _IFF, _IMP, _OR, _AND, _STRONG, _UNARY, _POSTFIX, _ATOM = range(8)
 
 # the deepest formula parse() builds, in levels of the AST.  parse,
-# compile, render and expand_derived use explicit stacks, and evaluate and
-# the sweeps in algebra run compile's straight-line code, so they answer
-# every formula within it; ==, hash and repr recurse per level and meet
-# the interpreter's recursion limit (1000 frames by default) a few hundred
-# levels down.  Input deeper than this is refused before it reaches any
-# of them.
+# compile, render, expand_derived, ==, hash and repr use explicit stacks,
+# and evaluate and the sweeps in algebra run compile's straight-line code,
+# so they answer every formula within it.  Input deeper than this is
+# refused before it reaches any of them.
 MAX_DEPTH = 1000
 
 # infix token kinds: (node class, binding strength); -> alone is right

@@ -970,6 +970,25 @@ def test_column_sweep_matches_the_point_by_point_sweep():
             if len(variables(f)) == k:
                 found.append(f)
         formulas += found
+    # theorems where the bounds prune most: instances of prelinearity
+    # (A -> B) \/ (B -> A), A \/ ~(A^2) and D(A) -> A over 5 and 6
+    # variables, A and B sharing one
+    theorems = []
+    for k in (5, 6):
+        names = [f"w{i}" for i in range(k)]
+        for schema in (lambda a, b: Or(Imp(a, b), Imp(b, a)),
+                       lambda a, b: Or(Or(a, b), Neg(Power(Or(a, b), 2))),
+                       lambda a, b: Imp(Delta(Or(a, b)), Or(a, b))):
+            found = []
+            while len(found) < 3:
+                split = rng.randrange(1, k)
+                f = schema(random_formula(rng, 5, names=names[:split + 1]),
+                           random_formula(rng, 5, names=names[split:]))
+                if len(variables(f)) == k:
+                    found.append(f)
+            theorems += found
+    assert all(is_theorem(f).ok for f in theorems)
+    formulas += theorems
     formulas += [separating_formula(n) for n in range(2, 7)]
     formulas += [parse(t) for t in ("1", "0", "D 1", "~0 & 1^3", "D(0 -> 0)")]
     formulas += [Power(Iff(Var("x"), Var("x")), 7), Power(Var("y"), 0)]
@@ -980,6 +999,13 @@ def test_column_sweep_matches_the_point_by_point_sweep():
         assert (fast.ok, fast.algebra, fast.valuation, fast.value) == (
             slow.ok, slow.algebra, slow.valuation, slow.value), str(f)
         refuted += not fast.ok
+        # in V_n the oracle stops at C_n: the same countermodel if it lies
+        # on C_n or below, else a theorem
+        for n in range(2, len(variables(f)) + 4):
+            cut = slow if not slow.ok and slow.algebra.size <= n else Verdict(True)
+            fast = is_theorem_in_variety(f, n)
+            assert (fast.ok, fast.algebra, fast.valuation, fast.value) == (
+                cut.ok, cut.algebra, cut.valuation, cut.value), (str(f), n)
     # both outcomes are well represented
     assert 20 < refuted < len(formulas) - 20
 
@@ -989,8 +1015,8 @@ def test_an_early_refutation_ends_the_sweep(monkeypatch):
     swept = {}
     blocks = algebra._exact_blocks
 
-    def counted(k, size, limit):
-        for n, cols in blocks(k, size, limit):
+    def counted(k, size, limit, *found):
+        for n, cols in blocks(k, size, limit, *found):
             swept[size] = swept.get(size, 0) + n
             yield n, cols
     monkeypatch.setattr(algebra, "_exact_blocks", counted)

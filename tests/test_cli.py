@@ -71,6 +71,13 @@ def test_thm_cap_exceeded_exits_three(capsys):
     assert "cap" in err
 
 
+def test_thm_cap_is_checked_before_a_refutation_is_met(capsys):
+    # C_2's first point already refutes x \/ y, but the 18 exact points
+    # are counted, and refused, before any is evaluated
+    code, out, err = run(capsys, "thm", "--cap", "10", "x \\/ y")
+    assert (code, out, err) == (3, "", "error: 18 valuations exceed the cap of 10\n")
+
+
 def test_thm_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("x -> x\n"))
     code, payload, _ = run_json(capsys, "thm", "-")

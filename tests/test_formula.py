@@ -436,7 +436,6 @@ def test_tokenizer_matches_the_regex_tokenizer():
 
 
 def test_parse_depth_is_bounded_not_recursive():
-    # ==, hash and repr recurse, so deep results are compared as text
     deepest = "~" * (MAX_DEPTH - 1) + "x"
     assert str(parse(deepest)) == deepest
     assert variables(parse(deepest)) == ["x"]
@@ -452,3 +451,15 @@ def test_parse_depth_is_bounded_not_recursive():
     assert parse("(" * 100000 + "x" + ")" * 100000) == Var("x")
     text = "(" * 400 + "~x" + ")^2" * 400 + " & y"
     assert str(parse(text)) == text
+
+
+def test_the_deepest_formulas_compare_hash_and_print():
+    # as deep as parse goes: a chain of negations and one of implications
+    for prefix, suffix, node in (("~" * (MAX_DEPTH - 1), "", "Neg(arg="),
+                                 ("x -> " * (MAX_DEPTH - 1), "", "Imp(lhs=Var(name='x'), rhs=")):
+        f, g = parse(prefix + "x" + suffix), parse(prefix + "x" + suffix)
+        assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+        assert f != parse(prefix + "y" + suffix)
+        # the hash of the tuple of the fields, as for shallow records
+        assert hash(f) == hash(tuple(getattr(f, name) for name in f._fields))
+        assert repr(f) == node * (MAX_DEPTH - 1) + "Var(name='x')" + ")" * (MAX_DEPTH - 1)
