@@ -364,7 +364,8 @@ def delta_axioms() -> tuple[Formula, ...]:
 
 
 def enumerate_mtl_chains(n: int) -> list[FiniteMTLChain]:
-    """All MTL-chain product tables on the n-element chain, 2 <= n <= 5.
+    """All MTL-chain product tables on the n-element chain, 2 <= n <= 5
+    (ValueError below 2, CapExceeded above 5).
 
     Backtracks over the upper triangle of the table (entries between
     nonextremal elements; rows for 0 and top are forced), each entry
@@ -376,7 +377,7 @@ def enumerate_mtl_chains(n: int) -> list[FiniteMTLChain]:
     if n < 2:
         raise ValueError(f"a chain needs at least 2 elements, got {n}")
     if n > 5:
-        raise ValueError(f"chain enumeration is capped at size 5, got {n}")
+        raise CapExceeded(f"chain enumeration is capped at size 5, got {n}")
     top = n - 1
     free = [(x, y) for x in range(1, top) for y in range(x, top)]
     # 0 absorbs and the top is the unit; free entries are overwritten
@@ -861,10 +862,23 @@ def _surviving(trees: list[_Prefixes], limit: int, keep):
 
 
 def _lane_tables(chain: DPChain) -> dict[str, bytes]:
-    """_tabulate's tables of a chain of at most 16 elements as 256-byte
-    tables for bytes.translate: byte x * size + y holds op(x, y)."""
-    return {op: bytes(table).ljust(256, b"\0")
-            for op, table in zip(("&", "->", "/\\", "\\/"), _tabulate(chain)[2])}
+    """The operations of a chain of at most 16 elements as 256-byte tables
+    for bytes.translate: byte x * size + y holds op(x, y).
+
+    Built row by row in closed form: x * y is min(x, y) when either is the
+    top and 0 otherwise; x -> y is the top if x <= y, y if x is the top and
+    the coatom otherwise; meet and join are min and max.
+    """
+    n, top = chain.size, chain.top
+    rows: dict[str, list[bytes]] = {"&": [], "->": [], "/\\": [], "\\/": []}
+    for x in range(n):
+        same = bytes((x,))
+        rows["&"].append(bytes(range(n)) if x == top else bytes(top) + same)
+        rows["->"].append((bytes(range(top)) if x == top else bytes((top - 1,)) * x)
+                          + bytes((top,)) * (n - x))
+        rows["/\\"].append(bytes(range(x)) + same * (n - x))
+        rows["\\/"].append(same * x + bytes(range(x, n)))
+    return {op: b"".join(row).ljust(256, b"\0") for op, row in rows.items()}
 
 
 class _Lanes:

@@ -366,5 +366,22 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> None:
+    """The process entry point of `dp` and `python -m dplogic`: exits with
+    main's code without tearing the interpreter down.
+
+    The registered atexit callbacks run and stdout and stderr are flushed,
+    as at a normal exit; os._exit then skips module clean-up and the final
+    garbage collection, which cost more than a small request's own work.
+    If a flush fails, sys.exit reports it as a normal exit would.  An
+    exception escaping main leaves with its traceback before any of this.
+    """
+    code = main()
+    import atexit  # only the process exit needs it
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)

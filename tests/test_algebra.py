@@ -18,8 +18,8 @@ from dplogic import (
     satisfies_axiom, separating_formula, subvariety_index, variables,
 )
 from dplogic.algebra import (
-    algebra_from_json, algebra_to_json, axiom_instance, element_name,
-    generating_set, principal_filter, witness_to_json,
+    _lane_tables, _tabulate, algebra_from_json, algebra_to_json, axiom_instance,
+    element_name, generating_set, principal_filter, witness_to_json,
 )
 from dplogic.suites import random_formula
 from free_oracle import free_algebra_bruteforce
@@ -332,7 +332,8 @@ def test_enumeration_size_three_is_dp_plus_godel():
 
 
 def test_enumeration_cap():
-    with pytest.raises(ValueError):
+    # above size 5 is a cap (exit 3 from dp chains), below 2 a bad size
+    with pytest.raises(CapExceeded):
         enumerate_mtl_chains(6)
     with pytest.raises(ValueError):
         enumerate_mtl_chains(1)
@@ -1071,6 +1072,15 @@ def _balanced_or(names):
         return Var(names[0])
     half = len(names) // 2
     return Or(_balanced_or(names[:half]), _balanced_or(names[half:]))
+
+
+def test_lane_tables_are_the_tabulated_operations():
+    # the closed-form rows against the generic element numbering
+    for n in range(2, 17):
+        tables = _tabulate(DPChain(n))[2]
+        assert _lane_tables(DPChain(n)) == {
+            op: bytes(table).ljust(256, b"\0")
+            for op, table in zip(("&", "->", "/\\", "\\/"), tables)}
 
 
 def test_wide_formulas_meet_the_lane_limit_before_their_point_count(monkeypatch):

@@ -252,7 +252,7 @@ def test_chains_counts(capsys):
 
 def test_chains_size_cap(capsys):
     code, _, err = run(capsys, "chains", "6")
-    assert code == 2
+    assert code == 3
     assert "5" in err
 
 
@@ -287,12 +287,90 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(dplogic.__file__)))
+
+
+def run_python(*args, timeout=60, text=True, **kwargs):
+    """`python -S ARGS` in a fresh interpreter with the package on its path."""
+    return subprocess.run([sys.executable, "-S", *args], env={"PYTHONPATH": SRC},
+                          capture_output=True, text=text, timeout=timeout, **kwargs)
+
+
 def run_dp(*argv, timeout=60):
     """`python -S -m dplogic ARGV` in a fresh interpreter."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(dplogic.__file__)))
-    return subprocess.run([sys.executable, "-S", "-m", "dplogic", *argv],
-                          env={"PYTHONPATH": src}, capture_output=True, text=True,
-                          timeout=timeout)
+    return run_python("-m", "dplogic", *argv, timeout=timeout)
+
+
+@pytest.mark.parametrize("argv", [
+    ("thm", "x \\/ ~(x^2)"),           # 0, a theorem
+    ("thm", "--json", "x \\/ ~x"),     # 1, a refutation
+    ("thm", "x & & y"),                 # 2, a parse error
+    ("thm", "--cap", "10", "x \\/ y"),  # 3, a cap
+    ("chains", "6"),                    # 3, the enumeration cap
+])
+def test_process_exit_matches_main_byte_for_byte(capsys, argv):
+    # the process exits through cli.run; its output and code are main's
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    done = run_python("-m", "dplogic", *argv, text=False)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        code, captured.out.encode(), captured.err.encode())
+
+
+def test_a_reader_closing_the_pipe_early_is_not_an_error():
+    # about 125 000 digits, more than a pipe holds, so the write meets the
+    # closed pipe
+    with subprocess.Popen(
+            [sys.executable, "-S", "-m", "dplogic", "dual", "homcount",
+             "{3:17996,6:12403}", "{3:6011,4:3058}"],
+            env={"PYTHONPATH": SRC}, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE) as child:
+        assert child.stdout.read(1) == b"1"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert (child.wait(timeout=60), err) == (0, b"")
+
+
+def test_atexit_callbacks_still_run():
+    # registered before dp runs, as by a wrapper or a plugin; its output
+    # comes after dp's and is flushed before the process ends
+    done = run_python("-c", "import atexit, runpy, sys\n"
+                            "atexit.register(print, 'atexit ran')\n"
+                            "sys.argv = ['dp', 'thm', 'x -> x']\n"
+                            "runpy.run_module('dplogic', run_name='__main__')\n")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "theorem: x -> x\natexit ran\n", "")
+
+
+def test_a_failed_flush_exits_as_a_normal_exit_would():
+    # a stream that cannot be flushed: run leaves by sys.exit, so the
+    # interpreter reports the failure as it does for sys.exit(main())
+    setup = ("import io, sys\n"
+             "class Full(io.StringIO):\n"
+             "    def flush(self):\n"
+             "        raise OSError(28, 'No space left on device')\n"
+             "sys.stderr = Full()\n"
+             "sys.argv = ['dp', 'thm', 'x -> x']\n"
+             "from dplogic import cli\n")
+    done, normal = (run_python("-c", setup + tail)
+                    for tail in ("cli.run()\n", "sys.exit(cli.main())\n"))
+    assert done.stdout == "theorem: x -> x\n"
+    assert done.returncode not in (0, 1, 2, 3)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        normal.returncode, normal.stdout, normal.stderr)
+
+
+def test_the_dp_script_and_python_m_call_the_same_entry_point(monkeypatch):
+    import importlib
+    import runpy
+    import tomllib
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), "rb") as f:
+        module, _, name = tomllib.load(f)["project"]["scripts"]["dp"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+    called = []
+    monkeypatch.setattr(cli, "run", lambda: called.append(True))
+    runpy.run_module("dplogic", run_name="__main__")
+    assert called == [True]
 
 
 # residues of a long numeral against its value stand in for str(value),
