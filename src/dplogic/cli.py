@@ -2,7 +2,7 @@
 
 Exit codes: 0 for theorems and successful commands, 1 for non-theorems
 and failed check suites, 2 for usage or parse errors, 3 when a
-computation would exceed its cap.
+computation would exceed its cap, 120 when the output cannot be written.
 """
 
 from __future__ import annotations
@@ -19,33 +19,15 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_OUTPUT = 120  # Python's own code for a final flush that fails
 
 
 def _json_text(value) -> str:
-    """json.dumps(value, sort_keys=True) for the values payloads hold:
-    dicts with string keys, lists, strings, bools, None and ints."""
-    # json.dumps's own string encoder, a C module loaded for --json only
-    from _json import encode_basestring_ascii as string
-
-    def text(value) -> str:
-        if isinstance(value, str):
-            return string(value)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        if isinstance(value, dict):
-            return "{" + ", ".join(string(key) + ": " + text(value[key])
-                                   for key in sorted(value)) + "}"
-        if isinstance(value, list):
-            return "[" + ", ".join(map(text, value)) + "]"
-        raise TypeError(f"not JSON serializable: {type(value).__name__}")
-
-    return text(value)
+    """json.dumps(value, sort_keys=True), by the C encoder json.dumps runs;
+    _json loads for --json only, and the json package would load re."""
+    from _json import encode_basestring_ascii, make_encoder
+    return "".join(make_encoder(None, None, encode_basestring_ascii, None,
+                                ": ", ", ", True, False, True)(value, 0))
 
 
 def _emit(args, payload: dict, human) -> None:
@@ -55,23 +37,20 @@ def _emit(args, payload: dict, human) -> None:
 
 def _read_formula(text: str):
     if text == "-":
-        text = sys.stdin.read()
+        try:
+            text = sys.stdin.read()
+        except (AttributeError, OSError):  # stdin is None if closed at start
+            raise ValueError("cannot read standard input") from None
     return parse(text)
 
 
-def _witness_text(verdict: alg.Verdict) -> str:
-    data = alg.witness_to_json(verdict)
-    algebra = verdict.algebra
-    if isinstance(algebra, alg.DPChain):
-        where = f"the {algebra.size}-element chain"
-    else:
-        where = f"{data['algebra']}"
-    parts = [f"{name} = {info['name']} (rank {info['rank']})"
-             for name, info in data["valuation"].items()]
-    value = data["value"]
-    binding = "; ".join(parts) if parts else "empty valuation"
-    return (f"countermodel on {where}: {binding}; "
-            f"value {value['name']} (rank {value['rank']})")
+def _witness_text(witness: dict) -> str:
+    # dp thm refutes on DP-chains only
+    binding = "; ".join(f"{name} = {info['name']} (rank {info['rank']})"
+                        for name, info in witness["valuation"].items())
+    value = witness["value"]
+    return (f"countermodel on the {witness['algebra']['size']}-element chain: "
+            f"{binding or 'empty valuation'}; value {value['name']} (rank {value['rank']})")
 
 
 def cmd_thm(args) -> int:
@@ -87,8 +66,8 @@ def cmd_thm(args) -> int:
     if verdict.ok:
         _emit(args, payload, f"theorem: {f}")
         return EXIT_OK
-    payload["witness"] = alg.witness_to_json(verdict)
-    _emit(args, payload, f"non-theorem: {f}\n  {_witness_text(verdict)}")
+    witness = payload["witness"] = alg.witness_to_json(verdict)
+    _emit(args, payload, f"non-theorem: {f}\n  {_witness_text(witness)}")
     return EXIT_FAIL
 
 
@@ -120,45 +99,31 @@ def _multiset_arg(text: str) -> du.MultisetObj:
         raise ParseError(str(exc), 0, frozenset()) from None
 
 
+# each dual op, in the order usage lists them: the duality function that
+# answers it, looked up when called, and the operands it takes
+_DUAL = {"product": ("product", "two multisets"),
+         "coproduct": ("coproduct", "two multisets"),
+         "power": ("power", "a multiset and an exponent"),
+         "homcount": ("morphism_count", "two multisets"),
+         "inverse": ("mc_inverse", "one multiset")}
+
+
 def cmd_dual(args) -> int:
-    op = args.op
-    if op in ("product", "coproduct", "homcount"):
-        if len(args.operands) != 2:
-            raise ParseError(f"{op} takes two multisets", 0, frozenset())
-        c = _multiset_arg(args.operands[0])
-        d = _multiset_arg(args.operands[1])
-        if op == "product":
-            out = du.product(c, d)
-            payload = {"status": "ok", "result": du.multiset_to_json(out)}
-            _emit(args, payload, str(out))
-        elif op == "coproduct":
-            out = du.coproduct(c, d)
-            payload = {"status": "ok", "result": du.multiset_to_json(out)}
-            _emit(args, payload, str(out))
-        else:
-            count = du.morphism_count(c, d)
-            payload = {"status": "ok", "count": count}
-            _emit(args, payload, count)
-        return EXIT_OK
-    if op == "power":
-        if len(args.operands) != 2:
-            raise ParseError("power takes a multiset and an exponent", 0, frozenset())
-        c = _multiset_arg(args.operands[0])
-        k = int(args.operands[1])
-        out = du.power(c, k)
-        payload = {"status": "ok", "result": du.multiset_to_json(out)}
-        _emit(args, payload, str(out))
-        return EXIT_OK
-    # "inverse", the last of the choices the parsers admit
-    if len(args.operands) != 1:
-        raise ParseError("inverse takes one multiset", 0, frozenset())
-    c = _multiset_arg(args.operands[0])
-    algebra = du.mc_inverse(c)
-    sizes = [f.size for f in algebra.factors]
-    payload = {"status": "ok", "algebra": alg.algebra_to_json(algebra),
-               "size": algebra.size}
-    _emit(args, payload,
-          f"product of chain sizes {sizes} ({algebra.size} elements)")
+    op, words = args.op, args.operands
+    name, takes = _DUAL[op]
+    if len(words) != (1 if op == "inverse" else 2):
+        raise ParseError(f"{op} takes {takes}", 0, frozenset())
+    # power's second operand is its exponent
+    out = getattr(du, name)(*[int(w) if i and op == "power" else _multiset_arg(w)
+                              for i, w in enumerate(words)])
+    if isinstance(out, du.MultisetObj):
+        _emit(args, {"status": "ok", "result": du.multiset_to_json(out)}, str(out))
+    elif isinstance(out, int):
+        _emit(args, {"status": "ok", "count": out}, out)
+    else:  # the product of chains mc_inverse builds
+        size = out.size
+        _emit(args, {"status": "ok", "algebra": alg.algebra_to_json(out), "size": size},
+              f"product of chain sizes {[f.size for f in out.factors]} ({size} elements)")
     return EXIT_OK
 
 
@@ -222,8 +187,7 @@ _COMMANDS = {
         ("k", {"type": int}),
     )),
     "dual": (cmd_dual, "multiset-of-chains computations", (
-        ("op", {"choices": ("product", "coproduct", "power", "homcount",
-                            "inverse")}),
+        ("op", {"choices": tuple(_DUAL)}),
         ("operands", {"nargs": "+",
                       "help": "multisets like '{1,3,2,1}' or '{1:4,2:5}', "
                               "JSON, or an integer exponent for power"}),
@@ -307,29 +271,26 @@ def _parse_canonical(argv: list[str]) -> dict:
     return values
 
 
-def build_parser():
-    """The argparse parser for every command line, built from _COMMANDS."""
+def build_parser(argv: list[str]):
+    """The argparse parser for argv, built from _COMMANDS, and the words it
+    parses: the subcommand's own parser and the words after it when argv
+    starts with a subcommand, else dp's, which names the subcommands."""
     import argparse
-
-    class Subcommand(argparse.ArgumentParser):
-        # reports the words it does not know under its own usage, not dp's
-        def parse_known_args(self, args=None, namespace=None):
-            namespace, extra = super().parse_known_args(args, namespace)
-            if extra:
-                self.error(f"unrecognized arguments: {' '.join(extra)}")
-            return namespace, extra
-
+    if argv and argv[0] in _COMMANDS:
+        handler, _, arguments = _COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"dp {argv[0]}")
+        for name, spec in _COMMON + arguments:
+            parser.add_argument(name, **spec)
+        parser.set_defaults(command=argv[0], handler=handler)
+        return parser, argv[1:]
     parser = argparse.ArgumentParser(
         prog="dp",
         description="theoremhood, axiom analysis and duality for "
                     "drastic-product logic")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=Subcommand)
-    for command, (handler, summary, arguments) in _COMMANDS.items():
-        p = sub.add_parser(command, help=summary)
-        for name, spec in _COMMON + arguments:
-            p.add_argument(name, **spec)
-        p.set_defaults(handler=handler)
-    return parser
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, summary, _) in _COMMANDS.items():
+        sub.add_parser(command, help=summary)
+    return parser, argv
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -342,26 +303,31 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = SimpleNamespace(**_parse_canonical(argv))
     except ValueError:
+        parser, words = build_parser(argv)
         try:
-            args = build_parser().parse_args(argv)
+            args = parser.parse_args(words)
         except SystemExit as exc:
             # argparse exits 2 on usage errors and 0 on --help
             return EXIT_USAGE if exc.code else EXIT_OK
     try:
         code = args.handler(args)
+        if sys.stdout is None:  # closed when dp started: print wrote nothing
+            raise OSError("standard output is closed")
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # the reader (e.g. `head`) closed the pipe early; not our error
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except OSError as exc:
+        # the output failed (stdin's errors are ValueErrors by now); what is
+        # left of it goes to devnull, so that the flushes at exit pass
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_OK  # the reader (e.g. `head`) closed the pipe early
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     except alg.CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, alg.EvaluationError) as exc:
+    except ValueError as exc:  # ParseError and EvaluationError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,10 +19,16 @@ import math
 from collections.abc import Iterable, Mapping
 from functools import cache
 
-from .algebra import CapExceeded, ProductAlgebra
+from .algebra import CapExceeded, ProductAlgebra, _count_text
 from .formula import ParseError, Record
 
 POWER_INSTANCE_CAP = 10**6
+
+# bits an answer may have; past them its decimal digits (a hom count's or
+# an element count's) or its binomials (a product's) take seconds
+COUNT_BITS_CAP = 2**20
+INVERSE_BITS_CAP = 2**18
+PRODUCT_BITS_CAP = 2**25
 
 ENUM_INSTANCE_CAP = 8
 
@@ -110,6 +116,14 @@ def top_lift(c: MultisetObj) -> MultisetObj:
     return MultisetObj(tuple((l + 1, m) for l, m in c.chains))
 
 
+def _check_bits(bits: float, what: str, cap: int) -> None:
+    """CapExceeded when an answer would have more than cap bits.  Callers
+    count a factor past 2**64 as 2**64, which passes every cap and keeps
+    their floats finite."""
+    if bits > cap:
+        raise CapExceeded(f"{_count_text(int(bits))} bits of {what} exceed the cap of {cap}")
+
+
 @cache
 def _singleton_product(a: int, b: int) -> tuple[tuple[int, int], ...]:
     # product of two single chains; commutative, so normalize the order
@@ -117,6 +131,10 @@ def _singleton_product(a: int, b: int) -> tuple[tuple[int, int], ...]:
         a, b = b, a
     if a <= 2:
         return ((b, 1),)
+    # each of the a - 1 multiplicities C(a+b-4-d, a-2) C(a-2, d) is below
+    # C(a+b-4, a-2) 2^(a-2) < (e (a+b-4) / (a-2))^(a-2) 2^(a-2)
+    _check_bits((a - 1) * (a - 2) * math.ceil(math.log2(a + b - 4) - math.log2(a - 2) + 2.443),
+                "product multiplicities", PRODUCT_BITS_CAP)
     # the closed form that product describes, shortest length first
     return tuple((a + b - 2 - d,
                   math.comb(a + b - 4 - d, d) * math.comb(a + b - 4 - 2 * d, a - 2 - d))
@@ -161,11 +179,14 @@ def power(c: MultisetObj, k: int, cap: int = POWER_INSTANCE_CAP) -> MultisetObj:
     return out
 
 
-def mc_inverse(c: MultisetObj) -> ProductAlgebra:
-    """The algebra dual to c: a product of chains of sizes length + 1."""
+def mc_inverse(c: MultisetObj, cap: int = INVERSE_BITS_CAP) -> ProductAlgebra:
+    """The algebra dual to c: a product of chains of sizes length + 1,
+    refused by CapExceeded when its element count passes cap bits."""
     if not c:
         raise ValueError("the empty multiset dualizes the trivial algebra, "
                          "which has no product-of-chains form")
+    _check_bits(sum(min(m, 2**64) * math.log2(l + 1) for l, m in c.chains),
+                "element count", cap)
     return ProductAlgebra(l + 1 for l in c.lengths())
 
 
@@ -248,14 +269,25 @@ class MCMorphism(Record):
                 raise ValueError("top fiber must be the source maximum alone")
 
 
-def morphism_count(c: MultisetObj, d: MultisetObj) -> int:
+def morphism_count(c: MultisetObj, d: MultisetObj, cap: int = COUNT_BITS_CAP) -> int:
     """|Hom(c, d)|: each source instance independently picks a target
-    instance and one of the admissible surjections onto it."""
-    total = 1
+    instance and one of the admissible surjections onto it.  A count past
+    cap bits, or a binomial that alone passes the cap, is refused by
+    CapExceeded before it is built."""
+    if c and (not d or c.chains[0][0] < d.chains[0][0]):
+        return 0  # the shortest source chain has no target
+    factors = []
     for a, m in c.chains:
-        choices = sum(mb * surjection_count(a, b) for b, mb in d.chains)
-        total *= choices ** m
-    return total
+        choices = 0
+        for b, mb in d.chains:
+            # surjection_count(a, b) = C(a-2, k) >= ((a-2) / k)^k
+            k = min(b - 2, a - b)
+            if k > 0:
+                _check_bits(min(k, 2**64) * (math.log2(a - 2) - math.log2(k)), "hom count", cap)
+            choices += mb * surjection_count(a, b)
+        factors.append((m, choices))
+    _check_bits(sum(min(m, 2**64) * math.log2(x) for m, x in factors), "hom count", cap)
+    return math.prod(x ** m for m, x in factors)
 
 
 def enumerate_morphisms(c: MultisetObj, d: MultisetObj) -> list[MCMorphism]:

@@ -275,6 +275,30 @@ def test_morphism_count_closed_form_matches_enumeration():
             assert morphism_count(c, d) == len(enumerate_morphisms(c, d))
 
 
+def test_answers_past_their_bit_caps_are_refused_unbuilt():
+    counts = MultisetObj.from_counts
+    # at each cap the answer is built; one bit past it, it is refused
+    assert morphism_count(counts({3: 2**20}), ms(2, 3)) == 2 ** 2**20
+    with pytest.raises(CapExceeded, match="^1048577 bits of hom count exceed the cap of 1048576$"):
+        morphism_count(counts({3: 2**20 + 1}), ms(2, 3))
+    # a multiplicity or a binomial far past the cap, before anything is raised to it
+    with pytest.raises(CapExceeded, match="^18446744073709551616 bits of hom count"):
+        morphism_count(counts({3: 10**400}), ms(2, 3))
+    with pytest.raises(CapExceeded, match="^499999999 bits of hom count"):
+        morphism_count(ms(10**9), ms(5 * 10**8))
+    # four (and five) factors of 2^65536 elements
+    assert len(mc_inverse(counts({2**65536 - 1: 4})).factors) == 4
+    with pytest.raises(CapExceeded, match="^327680 bits of element count exceed the cap of 262144$"):
+        mc_inverse(counts({2**65536 - 1: 5}))
+    # {a} x {a}: (a-1)(a-2) 4 bits by the bound, past 2^25 from a = 2898 on
+    with pytest.raises(CapExceeded, match="^33558848 bits of product multiplicities"):
+        product(ms(2898), ms(2898))
+    with pytest.raises(CapExceeded, match="product multiplicities"):
+        power(ms(10**5), 2)
+    # a source chain with no target makes the count 0, whatever the rest
+    assert morphism_count(counts({2: 1, 3: 10**400}), ms(3)) == 0
+
+
 def test_terminal_object():
     for c in [ms(1), ms(2), ms(3, 3), ms(1, 2, 4)]:
         assert morphism_count(c, TERMINAL) == 1
