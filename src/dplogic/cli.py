@@ -100,22 +100,21 @@ def _multiset_arg(text: str) -> du.MultisetObj:
 
 
 # each dual op, in the order usage lists them: the duality function that
-# answers it, looked up when called, and the operands it takes
-_DUAL = {"product": ("product", "two multisets"),
-         "coproduct": ("coproduct", "two multisets"),
-         "power": ("power", "a multiset and an exponent"),
-         "homcount": ("morphism_count", "two multisets"),
-         "inverse": ("mc_inverse", "one multiset")}
+# answers it, looked up when called, the operands it takes and their parsers
+_PAIR = (_multiset_arg, _multiset_arg)
+_DUAL = {"product": ("product", "two multisets", _PAIR),
+         "coproduct": ("coproduct", "two multisets", _PAIR),
+         "power": ("power", "a multiset and an exponent", (_multiset_arg, int)),
+         "homcount": ("morphism_count", "two multisets", _PAIR),
+         "inverse": ("mc_inverse", "one multiset", (_multiset_arg,))}
 
 
 def cmd_dual(args) -> int:
     op, words = args.op, args.operands
-    name, takes = _DUAL[op]
-    if len(words) != (1 if op == "inverse" else 2):
+    name, takes, parsers = _DUAL[op]
+    if len(words) != len(parsers):
         raise ParseError(f"{op} takes {takes}", 0, frozenset())
-    # power's second operand is its exponent
-    out = getattr(du, name)(*[int(w) if i and op == "power" else _multiset_arg(w)
-                              for i, w in enumerate(words)])
+    out = getattr(du, name)(*(parse(w) for parse, w in zip(parsers, words)))
     if isinstance(out, du.MultisetObj):
         _emit(args, {"status": "ok", "result": du.multiset_to_json(out)}, str(out))
     elif isinstance(out, int):

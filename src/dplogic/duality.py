@@ -24,8 +24,8 @@ from .formula import ParseError, Record
 
 POWER_INSTANCE_CAP = 10**6
 
-# bits an answer may have; past them its decimal digits (a hom count's or
-# an element count's) or its binomials (a product's) take seconds
+# bits an answer and the binomials it is built from may have; past them
+# the binomials or the decimal digits of a count take seconds
 COUNT_BITS_CAP = 2**20
 INVERSE_BITS_CAP = 2**18
 PRODUCT_BITS_CAP = 2**25
@@ -117,11 +117,18 @@ def top_lift(c: MultisetObj) -> MultisetObj:
 
 
 def _check_bits(bits: float, what: str, cap: int) -> None:
-    """CapExceeded when an answer would have more than cap bits.  Callers
-    count a factor past 2**64 as 2**64, which passes every cap and keeps
-    their floats finite."""
+    # callers count a factor past 2**64 as 2**64, which keeps their floats finite
     if bits > cap:
         raise CapExceeded(f"{_count_text(int(bits))} bits of {what} exceed the cap of {cap}")
+
+
+@cache
+def _pair_bits(a: int, b: int) -> int:
+    # {a} x {b} for 3 <= a <= b has a - 1 multiplicities C(a+b-4-d, a-2) C(a-2, d),
+    # each below C(a+b-4, a-2) 2^(a-2) < (e (a+b-4) / (a-2))^(a-2) 2^(a-2)
+    a, b = min(a, b), max(a, b)
+    return 0 if a <= 2 else (a - 1) * (a - 2) * math.ceil(
+        math.log2(a + b - 4) - math.log2(a - 2) + 2.443)
 
 
 @cache
@@ -131,10 +138,6 @@ def _singleton_product(a: int, b: int) -> tuple[tuple[int, int], ...]:
         a, b = b, a
     if a <= 2:
         return ((b, 1),)
-    # each of the a - 1 multiplicities C(a+b-4-d, a-2) C(a-2, d) is below
-    # C(a+b-4, a-2) 2^(a-2) < (e (a+b-4) / (a-2))^(a-2) 2^(a-2)
-    _check_bits((a - 1) * (a - 2) * math.ceil(math.log2(a + b - 4) - math.log2(a - 2) + 2.443),
-                "product multiplicities", PRODUCT_BITS_CAP)
     # the closed form that product describes, shortest length first
     return tuple((a + b - 2 - d,
                   math.comb(a + b - 4 - d, d) * math.comb(a + b - 4 - 2 * d, a - 2 - d))
@@ -149,11 +152,16 @@ def product(c: MultisetObj, d: MultisetObj) -> MultisetObj:
     solving the recursion that lifts the three products of predecessors,
     {a} x {b} has C(a+b-4-d, d) C(a+b-4-2d, a-2-d) chains of length
     a+b-2-d for d = 0..a-2.  Anything times the empty object is empty.
+    Past PRODUCT_BITS_CAP bits of multiplicities, counted for each pair of
+    chains before it is built, CapExceeded refuses the product.
     """
     merged: dict[int, int] = {}
     get = merged.get
+    bits = 0
     for la, ma in c.chains:
         for lb, mb in d.chains:
+            bits += _pair_bits(la, lb)
+            _check_bits(bits, "product multiplicities", PRODUCT_BITS_CAP)
             m = ma * mb
             for l, k in _singleton_product(la, lb):
                 merged[l] = get(l, 0) + m * k
@@ -179,14 +187,14 @@ def power(c: MultisetObj, k: int, cap: int = POWER_INSTANCE_CAP) -> MultisetObj:
     return out
 
 
-def mc_inverse(c: MultisetObj, cap: int = INVERSE_BITS_CAP) -> ProductAlgebra:
+def mc_inverse(c: MultisetObj) -> ProductAlgebra:
     """The algebra dual to c: a product of chains of sizes length + 1,
-    refused by CapExceeded when its element count passes cap bits."""
+    refused past INVERSE_BITS_CAP bits of elements."""
     if not c:
         raise ValueError("the empty multiset dualizes the trivial algebra, "
                          "which has no product-of-chains form")
     _check_bits(sum(min(m, 2**64) * math.log2(l + 1) for l, m in c.chains),
-                "element count", cap)
+                "element count", INVERSE_BITS_CAP)
     return ProductAlgebra(l + 1 for l in c.lengths())
 
 
@@ -269,25 +277,28 @@ class MCMorphism(Record):
                 raise ValueError("top fiber must be the source maximum alone")
 
 
-def morphism_count(c: MultisetObj, d: MultisetObj, cap: int = COUNT_BITS_CAP) -> int:
+def morphism_count(c: MultisetObj, d: MultisetObj) -> int:
     """|Hom(c, d)|: each source instance independently picks a target
-    instance and one of the admissible surjections onto it.  A count past
-    cap bits, or a binomial that alone passes the cap, is refused by
-    CapExceeded before it is built."""
+    instance and one of the admissible surjections onto it, refused past
+    COUNT_BITS_CAP bits of binomials and answer, each counted unbuilt."""
     if c and (not d or c.chains[0][0] < d.chains[0][0]):
         return 0  # the shortest source chain has no target
-    factors = []
+    bits, total = 0, 1
     for a, m in c.chains:
         choices = 0
         for b, mb in d.chains:
-            # surjection_count(a, b) = C(a-2, k) >= ((a-2) / k)^k
+            if b > a:
+                break
+            # surjection_count(a, b) = C(a-2, k) < (e (a-2) / k)^k
             k = min(b - 2, a - b)
             if k > 0:
-                _check_bits(min(k, 2**64) * (math.log2(a - 2) - math.log2(k)), "hom count", cap)
+                bits += min(k, 2**64) * (math.log2(a - 2) - math.log2(k) + 1.443)
+                _check_bits(bits, "hom count", COUNT_BITS_CAP)
             choices += mb * surjection_count(a, b)
-        factors.append((m, choices))
-    _check_bits(sum(min(m, 2**64) * math.log2(x) for m, x in factors), "hom count", cap)
-    return math.prod(x ** m for m, x in factors)
+        bits += min(m, 2**64) * math.log2(choices)  # choices >= 1: the shortest target fits
+        _check_bits(bits, "hom count", COUNT_BITS_CAP)
+        total *= choices ** m
+    return total
 
 
 def enumerate_morphisms(c: MultisetObj, d: MultisetObj) -> list[MCMorphism]:

@@ -85,6 +85,12 @@ _FIXED = [
     ("inverse-factors", ["dual", "inverse", "{3:100000000}"], None, 3),
     ("product-binomials", ["dual", "product", "{100000}", "{100000}"], None, 3),
     ("power-binomials", ["dual", "power", "{100000}", "2"], None, 3),
+    # binomials or single-chain products each below their cap, past it together
+    ("homcount-binomials-together",
+     ["dual", "homcount", "{1000000}", "{%s}" % ",".join(map(str, range(2, 3002)))], None, 3),
+    ("product-pairs-together",
+     ["dual", "product", "{%s}" % ",".join(map(str, range(40, 60))),
+      "{%s}" % ",".join(str(2**60 + i) for i in range(20))], None, 3),
     ("stdout-full", ["thm", "x -> x"], "stdout-full", 120),
     ("stdout-closed", ["thm", "x -> x"], "stdout-closed", 120),
     ("stdin-closed", ["thm", "-"], "stdin-closed", 2),

@@ -284,8 +284,11 @@ def test_answers_past_their_bit_caps_are_refused_unbuilt():
     # a multiplicity or a binomial far past the cap, before anything is raised to it
     with pytest.raises(CapExceeded, match="^18446744073709551616 bits of hom count"):
         morphism_count(counts({3: 10**400}), ms(2, 3))
-    with pytest.raises(CapExceeded, match="^499999999 bits of hom count"):
+    with pytest.raises(CapExceeded, match="^1221499996 bits of hom count"):
         morphism_count(ms(10**9), ms(5 * 10**8))
+    # binomials each far below the cap, past it together
+    with pytest.raises(CapExceeded, match="^1053361 bits of hom count"):
+        morphism_count(ms(10**6), ms(*range(2, 3002)))
     # four (and five) factors of 2^65536 elements
     assert len(mc_inverse(counts({2**65536 - 1: 4})).factors) == 4
     with pytest.raises(CapExceeded, match="^327680 bits of element count exceed the cap of 262144$"):
@@ -295,6 +298,9 @@ def test_answers_past_their_bit_caps_are_refused_unbuilt():
         product(ms(2898), ms(2898))
     with pytest.raises(CapExceeded, match="product multiplicities"):
         power(ms(10**5), 2)
+    # single-chain products each below the cap, past it together
+    with pytest.raises(CapExceeded, match="^33561860 bits of product multiplicities"):
+        product(ms(*range(40, 60)), ms(*range(2**60, 2**60 + 20)))
     # a source chain with no target makes the count 0, whatever the rest
     assert morphism_count(counts({2: 1, 3: 10**400}), ms(3)) == 0
 
