@@ -31,7 +31,7 @@ SIMPLICITY_SIZE_CAP = 64
 
 
 class CapExceeded(RuntimeError):
-    """A sweep would evaluate more points than the configured cap allows."""
+    """A call would build more than one of its caps allows (_check_cap)."""
 
 
 class EvaluationError(ValueError):
@@ -39,14 +39,24 @@ class EvaluationError(ValueError):
 
 
 def _count_text(n: int) -> str:
-    """A point count for a CapExceeded message: in full up to 20 digits,
-    else bounded, as "at least" its first four digits in e-notation."""
+    """A count for a CapExceeded message: in full up to 20 digits, else
+    bounded, as "at least" its first four digits in e-notation."""
     if n < 10**20:
         return str(n)
     e = int(math.log10(n))  # the float may land one off near a power of ten
     e += (10 ** (e + 1) <= n) - (10 ** e > n)
     lead = str(n // 10 ** (e - 3))
     return f"at least {lead[0]}.{lead[1:]}e{e}"
+
+
+def _check_cap(count, cap: int, what: str) -> None:
+    """Refuse a count past its cap, as "<count> <what> exceed the cap of
+    <cap>".  The count (points, table entries, bits, ...) is computed
+    without expanding what it counts.  A float one, a sum of bits with each
+    factor past 2**64 counted as 2**64 to keep it finite, prints its
+    integer part."""
+    if count > cap:
+        raise CapExceeded(f"{_count_text(int(count))} {what} exceed the cap of {cap}")
 
 
 class _Chain:
@@ -283,9 +293,7 @@ def holds(f: Formula, algebra: Algebra, cap: int = DEFAULT_CAP) -> Verdict:
     """
     names, code, root = _bound(f, algebra)
     k = len(names)
-    points = algebra.size ** k
-    if points > cap:
-        raise CapExceeded(f"{_count_text(points)} valuations exceed the cap of {cap}")
+    _check_cap(algebra.size ** k, cap, "valuations")
     top = algebra.top
     v = [algebra.bot, top] + [None] * (k + len(code))
     # without variables the one point needs no element listed
@@ -376,8 +384,7 @@ def enumerate_mtl_chains(n: int) -> list[FiniteMTLChain]:
     """
     if n < 2:
         raise ValueError(f"a chain needs at least 2 elements, got {n}")
-    if n > 5:
-        raise CapExceeded(f"chain enumeration is capped at size 5, got {n}")
+    _check_cap(n, 5, "elements of the MTL-chains to enumerate")
     top = n - 1
     free = [(x, y) for x in range(1, top) for y in range(x, top)]
     # 0 absorbs and the top is the unit; free entries are overwritten
@@ -418,8 +425,7 @@ def is_simple(algebra: Algebra) -> bool:
     contains a principal one, so it suffices that each element below the
     top generates the improper filter.
     """
-    if algebra.size > SIMPLICITY_SIZE_CAP:
-        raise CapExceeded(f"simplicity check capped at {SIMPLICITY_SIZE_CAP} elements")
+    _check_cap(algebra.size, SIMPLICITY_SIZE_CAP, "elements to check for simplicity")
     full = algebra.size
     for a in algebra.elements():
         if a == algebra.top:
@@ -469,10 +475,7 @@ def _tabulate(algebra: Algebra,
     elements x and y.  The tables hold 4 n^2 entries; when that exceeds
     cap, CapExceeded is raised before any is built.
     """
-    entries = 4 * algebra.size ** 2
-    if entries > cap:
-        raise CapExceeded(f"tabulating {algebra.size} elements takes {entries} "
-                          f"table entries, over the cap of {cap}")
+    _check_cap(4 * algebra.size ** 2, cap, "table entries")
     elems = list(algebra.elements())
     index = {e: i for i, e in enumerate(elems)}
     if not isinstance(algebra, ProductAlgebra):
@@ -627,9 +630,7 @@ def enumerate_homomorphisms(src: Algebra, dst: Algebra,
     """
     elems, index, tables = _tabulate(src, cap)
     g, program = _derivation(src, index, tables)
-    tries = dst.size ** len(g)
-    if tries > cap:
-        raise CapExceeded(f"{tries} generator assignments exceed the cap of {cap}")
+    _check_cap(dst.size ** len(g), cap, "generator assignments")
     source = (len(elems), tables, index[src.bot], index[src.top], g, program)
     if not isinstance(dst, ProductAlgebra):
         return [dict(zip(elems, h)) for h in _search(source, dst)]
@@ -1025,13 +1026,9 @@ def _exact_sweep(program: Compiled, last: int, cap: int) -> Verdict:
     k = len(program.names)
     # the lane limit first: it refuses a wide formula whatever the cap,
     # without summing its huge point count
-    if last > len(_LANE):
-        raise CapExceeded(f"{k} variables need the {last}-element chain; "
-                          f"byte lanes hold chains of at most {len(_LANE)}")
+    _check_cap(last, len(_LANE), f"elements of the chain for {k} variables")
     sizes = range(2, last + 1)
-    points = sum(free_coefficient(k, s - 1) for s in sizes)
-    if points > cap:
-        raise CapExceeded(f"{_count_text(points)} valuations exceed the cap of {cap}")
+    _check_cap(sum(free_coefficient(k, s - 1) for s in sizes), cap, "valuations")
     # every chain runs on C_last's tables, its ranks mapped by find_embedding
     lanes = _Lanes(program, last)
     big = DPChain(last)

@@ -19,7 +19,7 @@ import math
 from collections.abc import Iterable, Mapping
 from functools import cache
 
-from .algebra import CapExceeded, ProductAlgebra, _count_text
+from .algebra import ProductAlgebra, _check_cap
 from .formula import ParseError, Record
 
 POWER_INSTANCE_CAP = 10**6
@@ -33,6 +33,9 @@ PRODUCT_BITS_CAP = 2**25
 ENUM_INSTANCE_CAP = 8
 
 ENUM_LENGTH_CAP = 8
+
+# the 2^16 morphisms of eight 5-chains into {2,3} take about 2 s (Python 3.11)
+ENUM_MORPHISM_CAP = 2**16
 
 FREE_CARDINALITY_CAP = 8
 
@@ -116,12 +119,6 @@ def top_lift(c: MultisetObj) -> MultisetObj:
     return MultisetObj(tuple((l + 1, m) for l, m in c.chains))
 
 
-def _check_bits(bits: float, what: str, cap: int) -> None:
-    # callers count a factor past 2**64 as 2**64, which keeps their floats finite
-    if bits > cap:
-        raise CapExceeded(f"{_count_text(int(bits))} bits of {what} exceed the cap of {cap}")
-
-
 @cache
 def _pair_bits(a: int, b: int) -> int:
     # {a} x {b} for 3 <= a <= b has a - 1 multiplicities C(a+b-4-d, a-2) C(a-2, d),
@@ -161,7 +158,7 @@ def product(c: MultisetObj, d: MultisetObj) -> MultisetObj:
     for la, ma in c.chains:
         for lb, mb in d.chains:
             bits += _pair_bits(la, lb)
-            _check_bits(bits, "product multiplicities", PRODUCT_BITS_CAP)
+            _check_cap(bits, PRODUCT_BITS_CAP, "bits of product multiplicities")
             m = ma * mb
             for l, k in _singleton_product(la, lb):
                 merged[l] = get(l, 0) + m * k
@@ -182,8 +179,7 @@ def power(c: MultisetObj, k: int, cap: int = POWER_INSTANCE_CAP) -> MultisetObj:
         out, last = product(out, c), out
         if out == last:
             break
-        if out.instance_count() > cap:
-            raise CapExceeded(f"power result exceeds the cap of {cap} chain instances")
+        _check_cap(out.instance_count(), cap, "chain instances of a power")
     return out
 
 
@@ -193,8 +189,8 @@ def mc_inverse(c: MultisetObj) -> ProductAlgebra:
     if not c:
         raise ValueError("the empty multiset dualizes the trivial algebra, "
                          "which has no product-of-chains form")
-    _check_bits(sum(min(m, 2**64) * math.log2(l + 1) for l, m in c.chains),
-                "element count", INVERSE_BITS_CAP)
+    _check_cap(sum(min(m, 2**64) * math.log2(l + 1) for l, m in c.chains),
+               INVERSE_BITS_CAP, "bits of element count")
     return ProductAlgebra(l + 1 for l in c.lengths())
 
 
@@ -293,21 +289,22 @@ def morphism_count(c: MultisetObj, d: MultisetObj) -> int:
             k = min(b - 2, a - b)
             if k > 0:
                 bits += min(k, 2**64) * (math.log2(a - 2) - math.log2(k) + 1.443)
-                _check_bits(bits, "hom count", COUNT_BITS_CAP)
+                _check_cap(bits, COUNT_BITS_CAP, "bits of hom count")
             choices += mb * surjection_count(a, b)
         bits += min(m, 2**64) * math.log2(choices)  # choices >= 1: the shortest target fits
-        _check_bits(bits, "hom count", COUNT_BITS_CAP)
+        _check_cap(bits, COUNT_BITS_CAP, "bits of hom count")
         total *= choices ** m
     return total
 
 
 def enumerate_morphisms(c: MultisetObj, d: MultisetObj) -> list[MCMorphism]:
-    """All morphisms c -> d, literally as indexed families."""
-    if c.instance_count() > ENUM_INSTANCE_CAP or d.instance_count() > ENUM_INSTANCE_CAP:
-        raise CapExceeded(f"morphism enumeration capped at {ENUM_INSTANCE_CAP} instances")
-    lengths = [l for l, _ in c.chains] + [l for l, _ in d.chains]
-    if any(l > ENUM_LENGTH_CAP for l in lengths):
-        raise CapExceeded(f"morphism enumeration capped at length {ENUM_LENGTH_CAP}")
+    """All morphisms c -> d, literally as indexed families, refused past
+    ENUM_MORPHISM_CAP by morphism_count before any is built."""
+    _check_cap(max(c.instance_count(), d.instance_count()), ENUM_INSTANCE_CAP,
+               "chain instances of an object")
+    _check_cap(max((l for l, _ in c.chains + d.chains), default=0), ENUM_LENGTH_CAP,
+               "elements of the longest chain")
+    _check_cap(morphism_count(c, d), ENUM_MORPHISM_CAP, "morphisms")
     tgt = d.lengths()
     per_instance = []
     for a in c.lengths():
@@ -319,9 +316,9 @@ def enumerate_morphisms(c: MultisetObj, d: MultisetObj) -> list[MCMorphism]:
             for family in itertools.product(*per_instance)]
 
 
-def free_dual(k: int, cap: int = POWER_INSTANCE_CAP) -> MultisetObj:
+def free_dual(k: int) -> MultisetObj:
     """Dual of the free k-generated algebra: the k-th power of {1,1,2,3}."""
-    return power(FREE_ONE_DUAL, k, cap)
+    return power(FREE_ONE_DUAL, k)
 
 
 def free_coefficient(k: int, h: int) -> int:
@@ -370,8 +367,7 @@ def free_cardinality(k: int) -> int:
     """Number of elements of the free k-generated algebra, exactly."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    if k > FREE_CARDINALITY_CAP:
-        raise CapExceeded(f"free cardinality capped at k = {FREE_CARDINALITY_CAP}")
+    _check_cap(k, FREE_CARDINALITY_CAP, "generators")
     return math.prod((h + 1) ** free_coefficient(k, h) for h in range(1, k + 3))
 
 

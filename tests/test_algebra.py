@@ -792,7 +792,7 @@ def test_homomorphism_cap_on_a_product_target_runs_no_factor_operation():
     assert _CountingChain.calls[0] == 0
     # the table cap holds for a source analysed just before, too
     assert len(enumerate_homomorphisms(ProductAlgebra([2, 2]), DPChain(2), cap=64)) == 2
-    with pytest.raises(CapExceeded, match="64 table entries, over the cap of 63"):
+    with pytest.raises(CapExceeded, match="^64 table entries exceed the cap of 63$"):
         enumerate_homomorphisms(ProductAlgebra([2, 2]), dst, cap=63)
     assert _CountingChain.calls[0] == 0
     assert len(enumerate_homomorphisms(DPChain(3), dst)) == 1
@@ -1058,7 +1058,8 @@ def test_chains_above_sixteen_elements_raise_before_any_evaluation(monkeypatch):
     monkeypatch.setattr(algebra, "_exact_blocks", no_sweep)
     wide = reduce(Or, [Var(f"x{i}") for i in range(14)])
     for cap in (10**20, 10**100):
-        with pytest.raises(CapExceeded, match="17-element chain"):
+        with pytest.raises(CapExceeded, match="^17 elements of the chain for 14 variables "
+                                              "exceed the cap of 16$"):
             is_theorem(wide, cap=cap)
     # 13 variables need the 16-element chain, which still fits a byte lane
     narrow = reduce(Or, [Var(f"x{i}") for i in range(13)])
@@ -1090,9 +1091,9 @@ def test_wide_formulas_meet_the_lane_limit_before_their_point_count(monkeypatch)
         raise AssertionError("the points were counted")
     monkeypatch.setattr(duality, "free_coefficient", no_count)
     wide = _balanced_or([f"x{i}" for i in range(2000)])
-    with pytest.raises(CapExceeded, match="2003-element chain"):
+    with pytest.raises(CapExceeded, match="^2003 elements of the chain for 2000 variables"):
         is_theorem(wide)
-    with pytest.raises(CapExceeded, match="2003-element chain"):
+    with pytest.raises(CapExceeded, match="^2003 elements of the chain for 2000 variables"):
         is_theorem_in_variety(wide, 10**9)
 
 

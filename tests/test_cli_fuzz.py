@@ -4,6 +4,7 @@ stall or a flood of stderr."""
 
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -15,6 +16,10 @@ from dplogic import cli
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(dplogic.__file__)))
 
 EXIT_CODES = {0, 1, 2, 3, 120}
+
+# the one stderr line of a cap (exit 3), its count bounded as _count_text prints
+# it; thm's --cap is printed as given
+CAP_LINE = re.compile(r"error: (\d{1,20}|at least \d\.\d{3}e\d+) \S.* exceed the cap of -?\d+\n")
 
 NINES = "9" * 400
 
@@ -139,5 +144,7 @@ def test_hostile_command_lines_end_cleanly(argv, stdin, mode, want):
     assert "Traceback" not in err, (argv, err[-2000:])
     # a usage line and one message, which may quote one word back
     assert len(err) <= 2048 + max(map(len, argv)), (argv, len(err))
+    if code == 3:
+        assert CAP_LINE.fullmatch(err), (argv, err)
     if code == 120:
         assert err.startswith("error: cannot write the output: ")
