@@ -246,14 +246,18 @@ class Verdict(Record):
         return self.ok
 
 
+def _operations(algebra: Algebra) -> dict:
+    # the slot code's operations, bound to the algebra's
+    return {"&": algebra.prod, "->": algebra.imp, "/\\": algebra.meet, "\\/": algebra.join}
+
+
 def _bound(f: Formula, algebra: Algebra) -> tuple[tuple[str, ...], list, int]:
     """f compiled with each op bound to the algebra's operation: the
     variable names, the code (fn, a, b, out) and the root's slot."""
     program = compile(f)
     if program.delta and not algebra.supports_delta:
         raise EvaluationError("D is only defined on DP algebras")
-    ops = {"&": algebra.prod, "->": algebra.imp,
-           "/\\": algebra.meet, "\\/": algebra.join}
+    ops = _operations(algebra)
     names = program.names
     code = [(ops[op], a, b, out)
             for out, (op, a, b) in enumerate(program.code, 2 + len(names))]
@@ -642,8 +646,9 @@ def enumerate_homomorphisms(src: Algebra, dst: Algebra,
     return [dict(zip(elems, h)) for h in maps]
 
 
-# a column of n points is an n-byte string, one byte (lane) per point
-_LANE = tuple(bytes((x,)) for x in range(16))
+# a column of n points is an n-byte string, one byte (lane) per point;
+# ranks stay below 128, which leaves bit 7 of a lane as _Lanes' guard
+_LANE = tuple(bytes((x,)) for x in range(128))
 
 # what the columns of one block may take together, in bytes
 _BLOCK_BYTES = 1 << 20
@@ -662,7 +667,7 @@ class _Prefixes:
     missing are cut, so no inexact valuation is ever built.
     """
 
-    def __init__(self, k: int, size: int, image: bytes = bytes(range(16))):
+    def __init__(self, k: int, size: int, image: bytes = bytes(range(128))):
         self.k, self.size, self.image = k, size, image
         self.need = size - 3 if size > 3 else size - 2  # ranks 1..need must occur
         self.root = ((1 << self.need) - 1) << 1  # at the root, all are missing
@@ -720,7 +725,7 @@ class _Prefixes:
 
 def _exact_blocks(k: int, size: int, limit: int,
                   found: Iterable[tuple[bytes, int]] | None = None,
-                  image: bytes = bytes(range(16))):
+                  image: bytes = bytes(range(128))):
     """The exact valuations of k variables on the size-chain, in
     lexicographic order and each rank x written as the byte image[x], as
     blocks of byte columns; with found, only the points below its nodes,
@@ -862,26 +867,6 @@ def _surviving(trees: list[_Prefixes], limit: int, keep):
         yield from walk(*level)
 
 
-def _lane_tables(chain: DPChain) -> dict[str, bytes]:
-    """The operations of a chain of at most 16 elements as 256-byte tables
-    for bytes.translate: byte x * size + y holds op(x, y).
-
-    Built row by row in closed form: x * y is min(x, y) when either is the
-    top and 0 otherwise; x -> y is the top if x <= y, y if x is the top and
-    the coatom otherwise; meet and join are min and max.
-    """
-    n, top = chain.size, chain.top
-    rows: dict[str, list[bytes]] = {"&": [], "->": [], "/\\": [], "\\/": []}
-    for x in range(n):
-        same = bytes((x,))
-        rows["&"].append(bytes(range(n)) if x == top else bytes(top) + same)
-        rows["->"].append((bytes(range(top)) if x == top else bytes((top - 1,)) * x)
-                          + bytes((top,)) * (n - x))
-        rows["/\\"].append(bytes(range(x)) + same * (n - x))
-        rows["\\/"].append(same * x + bytes(range(x, n)))
-    return {op: b"".join(row).ljust(256, b"\0") for op, row in rows.items()}
-
-
 class _Lanes:
     """A formula's slot code on byte lanes of C_last, on points or on the
     intervals that prefixes leave.
@@ -892,14 +877,14 @@ class _Lanes:
     in its antecedent, so x -> y lies between hi(x) -> lo(y) and
     lo(x) -> hi(y).  Only the bounds that the root's lower bound reads are
     computed, and bounds that no assigned variable reaches are folded to
-    constants once per prefix length.  On whole points (i = k) each slot
-    has one value, kept as its lower bound.
+    constants once per prefix length, by the chain's own operations.  On
+    whole points (i = k) each slot has one value, kept as its lower bound.
     """
 
     def __init__(self, program: Compiled, last: int):
         chain = DPChain(last)
-        tables = _lane_tables(chain)
-        self.last, self.top, self.k = last, chain.top, len(program.names)
+        self.top, self.k = chain.top, len(program.names)
+        self.ops = _operations(chain)
         first = 2 + self.k
         self.slots = 2 * (first + len(program.code))
         self.root = 2 * program.root
@@ -913,9 +898,9 @@ class _Lanes:
                 if read[2 * out + hi]:
                     x, y = 2 * a + (hi ^ flip), 2 * b + hi
                     read[x] = read[y] = True
-                    steps.append((tables[op], x, y, 2 * out + hi))
+                    steps.append((op, x, y, 2 * out + hi))
         self.steps = steps[::-1]
-        self.points = [(tables[op], 2 * a, 2 * b, 2 * out)
+        self.points = [(op, 2 * a, 2 * b, 2 * out)
                        for out, (op, a, b) in enumerate(program.code, first)]
         self.folded: dict = {}
 
@@ -932,33 +917,46 @@ class _Lanes:
             varying = set(range(4, 4 + 2 * i))
             code = []
             for step in self.points if i == self.k else self.steps:
-                table, x, y, out = step
+                op, x, y, out = step
                 if x in varying or y in varying:
                     varying.add(out)
                     code.append(step)
                 else:
-                    w[out] = table[w[x] * self.last + w[y]]
+                    w[out] = self.ops[op](w[x], w[y])
             spread = {z for _, x, y, _ in code for z in (x, y)} - varying
             got = self.folded[i] = w, sorted(spread), code, self.root in varying
         return got
 
-    def lower(self, i: int, n: int, cols: list[bytes]) -> bytes:
+    def lower(self, i: int, n: int, cols: list[bytes]) -> tuple[int, int]:
         """The root's lower bound on n lanes, where cols are the columns
-        of variables 0..i-1, as elements of C_last."""
+        of variables 0..i-1, as elements of C_last, and the lanes where it
+        is below the top, marked by bit 7.  Lane p is byte p of an int;
+        ranks stay below 128, so bit 7 is a guard that no borrow crosses,
+        and every operation is chosen lane by lane from comparisons."""
         w, spread, code, varies = self._fold(i)
-        if not varies:
-            return _LANE[w[self.root]] * n
-        v = w[:]
         ones = int.from_bytes(b"\1" * n, "little")
+        h, top, coatom = 0x80 * ones, self.top * ones, (self.top - 1) * ones
+
+        def atmost(x: int, y: int) -> int:
+            # 0xff in the lanes where x <= y, else 0
+            return ((((y | h) - x) & h) >> 7) * 255
+
+        v = w[:]
         for z in spread:
             v[z] = w[z] * ones
         for j, col in enumerate(cols, 2):
             v[2 * j] = v[2 * j + 1] = int.from_bytes(col, "little")
-        last = self.last
-        for table, x, y, out in code:
-            v[out] = int.from_bytes(
-                (v[x] * last + v[y]).to_bytes(n, "little").translate(table), "little")
-        return v[self.root].to_bytes(n, "little")
+        for op, x, y, out in code:
+            a, b = v[x], v[y]
+            if op == "&":  # min(a, b) where either is the top, else 0
+                v[out] = (b & atmost(top, a)) | (a & atmost(top, b))
+            elif op == "->":  # the top where a <= b, else b if a is the top, else the coatom
+                got = coatom ^ ((coatom ^ b) & atmost(top, a))
+                v[out] = got ^ ((got ^ top) & atmost(a, b))
+            else:  # a where a <= b for the meet, b for the join
+                v[out] = (b if op == "/\\" else a) ^ ((a ^ b) & atmost(a, b))
+        root = v[self.root] if varies else w[self.root] * ones
+        return root, ((coatom | h) - root) & h
 
 
 def is_theorem(f: Formula, cap: int = DEFAULT_CAP) -> Verdict:
@@ -980,13 +978,13 @@ def is_theorem(f: Formula, cap: int = DEFAULT_CAP) -> Verdict:
     Chains are swept smallest first and valuations in lexicographic
     order.  Embeddings preserve that order, so the first refutation found
     is the lexicographically first countermodel on the smallest refuting
-    chain.  The sweep is column-wise: a block of points holds each value
-    as one byte of a column, read as a little-endian integer.  Each
-    operation x op y of the slot code packs its operands' lanes as x*s + y,
-    which fits a byte for s <= 16, and `bytes.translate` looks all lanes
-    up in the operation's 256-byte table at once.  Chains above 16
-    elements (k >= 14) do not fit a lane and raise CapExceeded whatever
-    the cap.
+    chain.  The sweep is column-wise, after both halves of Lamport's
+    *Multiple byte processing with full-word instructions* (1975): a
+    block of points holds each value as one byte (lane) of a column, read
+    as a little-endian integer, and each DP-chain operation, decided by
+    comparisons, is a few full-word steps on all lanes at once, with bit 7
+    of each lane as its guard (_Lanes.lower).  Chains above 128 elements
+    (k >= 126) do not fit a lane and raise CapExceeded whatever the cap.
 
     Prefixes of valuations are tested before their columns are built.
     Every operation is monotone in each argument, except -> in its
@@ -1029,17 +1027,14 @@ def _exact_sweep(program: Compiled, last: int, cap: int) -> Verdict:
     _check_cap(last, len(_LANE), f"elements of the chain for {k} variables")
     sizes = range(2, last + 1)
     _check_cap(sum(free_coefficient(k, s - 1) for s in sizes), cap, "valuations")
-    # every chain runs on C_last's tables, its ranks mapped by find_embedding
+    # every chain runs on C_last's lanes, its ranks mapped by find_embedding
     lanes = _Lanes(program, last)
-    big = DPChain(last)
-    refutes = b"\1" * big.top + b"\0" + b"\1" * (255 - big.top)
-    trees = [_Prefixes(k, s, bytes(find_embedding(DPChain(s), big)).ljust(256, b"\0"))
-             for s in sizes]
+    trees = [_Prefixes(k, s, bytes(find_embedding(DPChain(s), DPChain(last)))) for s in sizes]
     # the block size that keeps every column of a block within the budget
     limit = max(1, _BLOCK_BYTES // (2 + k + len(program.code)))
 
     def keep(i: int, n: int, cols: list[bytes]) -> bytes:
-        return lanes.lower(i, n, cols).translate(refutes)
+        return lanes.lower(i, n, cols)[1].to_bytes(n, "little")
 
     found = _surviving(trees, limit, keep)
     for tree, group in itertools.groupby(found, key=lambda node: node[0]):
@@ -1047,13 +1042,14 @@ def _exact_sweep(program: Compiled, last: int, cap: int) -> Verdict:
         for n, cols in _exact_blocks(k, tree.size, limit, nodes, tree.image):
             if not n:
                 continue
-            values = lanes.lower(k, n, cols)
-            p = values.translate(refutes).find(1)
-            if p >= 0:
+            values, refuted = lanes.lower(k, n, cols)
+            if refuted:
+                # the first refuting lane: its bit 7 is refuted's lowest
+                p = (refuted & -refuted).bit_length() // 8 - 1
                 rank = tree.image.index
                 return Verdict(False, DPChain(tree.size),
                                {name: rank(col[p]) for name, col in zip(program.names, cols)},
-                               rank(values[p]))
+                               rank((values >> 8 * p) & 255))
     return Verdict(True)
 
 

@@ -54,6 +54,9 @@ def _witness_text(witness: dict) -> str:
 
 
 def cmd_thm(args) -> int:
+    # every formula has an exact point, so a cap below 1 refuses them all
+    if args.cap < 1:
+        raise ValueError("--cap must be at least 1")
     f = _read_formula(args.formula)
     if args.variety is not None:
         verdict = alg.is_theorem_in_variety(f, args.variety, args.cap)

@@ -8,7 +8,7 @@ universal property; this independent construction stays with the tests.
 
 import itertools
 
-from dplogic.algebra import DPChain, _lane_tables
+from dplogic.algebra import DPChain
 from dplogic.formula import Record
 
 
@@ -35,7 +35,8 @@ def free_algebra_bruteforce(k: int) -> FreeAlgebraTable:
     is_theorem: one byte lane per point of C^k.  Each round applies every
     operation, in both orders, to every element paired with every new one
     at once: the pairs' columns lie side by side in one long column, whose
-    lanes x * size + y go through the operation's 256-byte table.
+    lanes x * size + y go through the operation's 256-byte table, tabulated
+    from the chain's own operations.
     """
     if not 0 <= k <= 1:
         raise ValueError(f"free-algebra brute force is only feasible for k <= 1, got {k}")
@@ -46,7 +47,8 @@ def free_algebra_bruteforce(k: int) -> FreeAlgebraTable:
     seed = {bytes([0] * n), bytes([chain.top] * n)}
     for i in range(k):
         seed.add(bytes(p[i] for p in points))
-    tables = _lane_tables(chain).values()
+    tables = [bytes(op(x, y) for x in range(s) for y in range(s)).ljust(256, b"\0")
+              for op in (chain.prod, chain.imp, chain.meet, chain.join)]
     elems = set(seed)
     frontier = list(seed)
     while frontier:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from functools import reduce
 
 import pytest
@@ -18,7 +19,7 @@ from dplogic import (
     satisfies_axiom, separating_formula, subvariety_index, variables,
 )
 from dplogic.algebra import (
-    _lane_tables, _tabulate, algebra_from_json, algebra_to_json, axiom_instance,
+    _Lanes, algebra_from_json, algebra_to_json, axiom_instance,
     element_name, generating_set, principal_filter, witness_to_json,
 )
 from dplogic.suites import random_formula
@@ -1050,21 +1051,39 @@ def test_eight_variables_sweep_in_bounded_memory():
     assert int(done.stdout) < 40 * 1024  # in kB
 
 
-def test_chains_above_sixteen_elements_raise_before_any_evaluation(monkeypatch):
+def test_chains_above_128_elements_raise_before_any_evaluation(monkeypatch):
     from dplogic import algebra
 
     def no_sweep(*args):
         raise AssertionError("the sweep started")
     monkeypatch.setattr(algebra, "_exact_blocks", no_sweep)
-    wide = reduce(Or, [Var(f"x{i}") for i in range(14)])
-    for cap in (10**20, 10**100):
-        with pytest.raises(CapExceeded, match="^17 elements of the chain for 14 variables "
-                                              "exceed the cap of 16$"):
+    wide = reduce(Or, [Var(f"x{i}") for i in range(126)])
+    for cap in (10**20, 10**1000):
+        with pytest.raises(CapExceeded, match="^129 elements of the chain for 126 variables "
+                                              "exceed the cap of 128$"):
             is_theorem(wide, cap=cap)
-    # 13 variables need the 16-element chain, which still fits a byte lane
-    narrow = reduce(Or, [Var(f"x{i}") for i in range(13)])
+    # 125 variables need the 128-element chain, which still fits a lane
+    narrow = reduce(Or, [Var(f"x{i}") for i in range(125)])
     with pytest.raises(AssertionError, match="the sweep started"):
-        is_theorem(narrow, cap=10**20)
+        is_theorem(narrow, cap=10**1000)
+
+
+def test_formulas_of_fourteen_and_more_variables_are_swept():
+    # their first points settle them, within a second, once the cap
+    # admits their point count
+    ys = " & ".join(f"y{i}" for i in range(1, 15))
+    xs = [f"x{i}" for i in range(1, 15)]
+    wide = reduce(Or, map(Var, xs))
+    for f, want in ((parse(f"(x \\/ ~(x^2)) \\/ ({ys})"), Verdict(True)),
+                    (wide, Verdict(False, DPChain(2), dict.fromkeys(xs, 0), 0))):
+        start = time.perf_counter()
+        got = is_theorem(f, cap=10**20)
+        assert time.perf_counter() - start < 1, str(f)
+        assert fields(got) == fields(want), str(f)
+    # under the default cap, the point count still refuses them
+    with pytest.raises(CapExceeded,
+                       match="^85130743747158 valuations exceed the cap of 10000000$"):
+        is_theorem(wide)
 
 
 def _balanced_or(names):
@@ -1075,13 +1094,23 @@ def _balanced_or(names):
     return Or(_balanced_or(names[:half]), _balanced_or(names[half:]))
 
 
-def test_lane_tables_are_the_tabulated_operations():
-    # the closed-form rows against the generic element numbering
-    for n in range(2, 17):
-        tables = _tabulate(DPChain(n))[2]
-        assert _lane_tables(DPChain(n)) == {
-            op: bytes(table).ljust(256, b"\0")
-            for op, table in zip(("&", "->", "/\\", "\\/"), tables)}
+def test_lane_operations_are_the_chain_operations():
+    # all size^2 rank pairs of a chain in one block of lanes, through the
+    # slot code of x op y, against the chain's scalar operation; the
+    # refutation mask marks the lanes below the top with bit 7
+    from dplogic.formula import compile
+    for size in range(2, 129):
+        chain = DPChain(size)
+        pairs = list(itertools.product(range(size), repeat=2))
+        n = len(pairs)
+        cols = [bytes(x for x, _ in pairs), bytes(y for _, y in pairs)]
+        for text, op in (("x & y", chain.prod), ("x -> y", chain.imp),
+                         ("x /\\ y", chain.meet), ("x \\/ y", chain.join)):
+            values, refuted = _Lanes(compile(parse(text)), size).lower(2, n, cols)
+            want = bytes(op(x, y) for x, y in pairs)
+            assert values.to_bytes(n, "little") == want, (size, text)
+            assert refuted.to_bytes(n, "little") == bytes(
+                0x80 * (v < chain.top) for v in want), (size, text)
 
 
 def test_wide_formulas_meet_the_lane_limit_before_their_point_count(monkeypatch):

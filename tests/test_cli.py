@@ -78,6 +78,14 @@ def test_thm_cap_is_checked_before_a_refutation_is_met(capsys):
     assert (code, out, err) == (3, "", "error: 18 valuations exceed the cap of 10\n")
 
 
+def test_thm_cap_below_one_is_a_usage_error(capsys):
+    # every formula has an exact point, so such a cap would refuse them all
+    for cap in ("0", "-1", "-" + "9" * 400):
+        for argv in (("--cap", cap), (f"--cap={cap}",)):
+            code, out, err = run(capsys, "thm", *argv, "x -> x")
+            assert (code, out, err) == (2, "", "error: --cap must be at least 1\n"), argv
+
+
 def test_thm_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("x -> x\n"))
     code, payload, _ = run_json(capsys, "thm", "-")

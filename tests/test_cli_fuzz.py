@@ -18,8 +18,8 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(dplogic.__file__)))
 EXIT_CODES = {0, 1, 2, 3, 120}
 
 # the one stderr line of a cap (exit 3), its count bounded as _count_text prints
-# it; thm's --cap is printed as given
-CAP_LINE = re.compile(r"error: (\d{1,20}|at least \d\.\d{3}e\d+) \S.* exceed the cap of -?\d+\n")
+# it; thm's --cap, at least 1, is printed as given
+CAP_LINE = re.compile(r"error: (\d{1,20}|at least \d\.\d{3}e\d+) \S.* exceed the cap of \d+\n")
 
 NINES = "9" * 400
 
