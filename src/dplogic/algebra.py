@@ -111,9 +111,6 @@ class DPChain(_Chain, Record):
             return self.coatom
         return y
 
-    def delta(self, x: int) -> int:
-        return self.prod(x, x)
-
 
 class FiniteMTLChain(_Chain, Record):
     """A finite MTL-chain given by its monoidal product table.
@@ -222,9 +219,6 @@ class ProductAlgebra(Record):
     def neg(self, x):
         return self.imp(x, self.bot)
 
-    def delta(self, x):
-        return self.prod(x, x)
-
 
 Algebra = DPChain | FiniteMTLChain | ProductAlgebra
 
@@ -270,8 +264,8 @@ def evaluate(f: Formula, algebra: Algebra, valuation: Valuation):
     /\\ and \\/ are lattice meet and join, & the monoidal product, -> the
     residuum and 0 the bottom; ~, <-> and powers evaluate through their
     defining abbreviations.  D requires a DP algebra, where it acts as
-    squaring.  This runs f's slot code (formula.compile) once, one point
-    of the sweep holds makes.
+    squaring.  Each call compiles f (formula.compile) and runs its slot
+    code once; holds compiles f once for all the points it sweeps.
     """
     names, code, root = _bound(f, algebra)
     v = [algebra.bot, algebra.top]
@@ -772,10 +766,10 @@ def _join(block: list[list[bytes]]) -> list[bytes]:
     return [b"".join(col) for col in zip(*block)]
 
 
-# How far _surviving looks.  A chain of at most _SMALL exact points is
-# tested point by point, in one pass.  Longer chains are tested in runs
-# that share their passes; a run holds at most _RUN points, or as many as
-# all chains before it, so a refutation leaves little shared work behind.
+# How far _surviving looks.  Chains of more than _SMALL exact points are
+# tested in runs that share their passes; a run holds at most _RUN points,
+# or as many as all chains before it, so a refutation leaves little shared
+# work behind.
 # A run starts at the shortest prefix length that gives it _JUMP prefixes.
 # Its first pass takes at most _FIRST_PASS prefixes and each later pass at
 # most four times as many, while their children fit in a block.  The
@@ -791,9 +785,10 @@ _FEW = 2048
 _SLACK = 1024
 
 
-def _surviving(trees: list[_Prefixes], limit: int, keep):
+def _surviving(trees: list[_Prefixes], points: list[int], limit: int, keep):
     """The nodes of the trees that keep leaves, as (tree, prefix,
     missing): chain by chain, each chain's in lexicographic order.
+    points[j] is the number of leaves of trees[j].
 
     keep(i, n, columns) gets n prefixes of length i, as i columns of n
     bytes, and returns n bytes, 0 for a prefix none of whose completions
@@ -845,25 +840,24 @@ def _surviving(trees: list[_Prefixes], limit: int, keep):
                 for r in live:
                     yield owners[r], rows[r * i:r * i + i], misses[r]
 
-    runs: list[list] = []  # [chains, their points]
+    runs: list[tuple[list, list[int]]] = []  # chains and their points
     before = 0  # points in the chains before the last run
-    for tree in trees:
-        points = tree.count(0, tree.need)
-        if not points:
+    for tree, n in zip(trees, points):
+        if not n:
             continue
-        if (runs and min(points, runs[-1][1]) > _SMALL
-                and runs[-1][1] + points <= max(_RUN, before)):
+        held = sum(runs[-1][1]) if runs else 0
+        if min(n, held) > _SMALL and held + n <= max(_RUN, before):
             runs[-1][0].append(tree)
-            runs[-1][1] += points
+            runs[-1][1].append(n)
         else:
-            before += runs[-1][1] if runs else 0
-            runs.append([[tree], points])
-    for run, held in runs:
-        level = (0, b"", run, [t.root for t in run], [t.count(0, t.need) for t in run])
-        # a short chain goes down to its points at once
-        while level[0] < k and (held <= _SMALL or level[0] + 1 < k and len(level[3]) < _JUMP):
+            before += held
+            runs.append(([tree], [n]))
+    for run, counts in runs:
+        level = (0, b"", run, [t.root for t in run], counts)
+        while level[0] + 1 < k and len(level[3]) < _JUMP:
             level = grow(*level[:4], range(len(level[3])))
-        width, fanout, tested, pruned, slack = _FIRST_PASS, run[-1].size, 0, 0, held // _SLACK
+        width, fanout, tested, pruned = _FIRST_PASS, run[-1].size, 0, 0
+        slack = sum(counts) // _SLACK
         yield from walk(*level)
 
 
@@ -1026,7 +1020,9 @@ def _exact_sweep(program: Compiled, last: int, cap: int) -> Verdict:
     # without summing its huge point count
     _check_cap(last, len(_LANE), f"elements of the chain for {k} variables")
     sizes = range(2, last + 1)
-    _check_cap(sum(free_coefficient(k, s - 1) for s in sizes), cap, "valuations")
+    # the exact points of C_s number the (s-1)-chains of the free dual
+    points = [free_coefficient(k, s - 1) for s in sizes]
+    _check_cap(sum(points), cap, "valuations")
     # every chain runs on C_last's lanes, its ranks mapped by find_embedding
     lanes = _Lanes(program, last)
     trees = [_Prefixes(k, s, bytes(find_embedding(DPChain(s), DPChain(last)))) for s in sizes]
@@ -1036,7 +1032,7 @@ def _exact_sweep(program: Compiled, last: int, cap: int) -> Verdict:
     def keep(i: int, n: int, cols: list[bytes]) -> bytes:
         return lanes.lower(i, n, cols)[1].to_bytes(n, "little")
 
-    found = _surviving(trees, limit, keep)
+    found = _surviving(trees, points, limit, keep)
     for tree, group in itertools.groupby(found, key=lambda node: node[0]):
         nodes = (node[1:] for node in group if node[1] is not None)
         for n, cols in _exact_blocks(k, tree.size, limit, nodes, tree.image):
@@ -1093,17 +1089,6 @@ def algebra_to_json(algebra: Algebra) -> dict:
     if isinstance(algebra, ProductAlgebra):
         return {"type": "product", "factors": [f.size for f in algebra.factors]}
     raise TypeError(f"not an algebra: {algebra!r}")
-
-
-def algebra_from_json(data: Mapping) -> Algebra:
-    kind = data.get("type")
-    if kind == "dp_chain":
-        return DPChain(data["size"])
-    if kind == "mtl_chain":
-        return FiniteMTLChain(data["product"])
-    if kind == "product":
-        return ProductAlgebra(data["factors"])
-    raise ValueError(f"unknown algebra encoding {kind!r}")
 
 
 def witness_to_json(verdict: Verdict) -> dict | None:

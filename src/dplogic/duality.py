@@ -74,9 +74,6 @@ class MultisetObj(Record):
     def instance_count(self) -> int:
         return sum(m for _, m in self.chains)
 
-    def multiplicity(self, length: int) -> int:
-        return dict(self.chains).get(length, 0)
-
     def __bool__(self) -> bool:
         return bool(self.chains)
 
@@ -192,15 +189,6 @@ def mc_inverse(c: MultisetObj) -> ProductAlgebra:
     _check_cap(sum(min(m, 2**64) * math.log2(l + 1) for l, m in c.chains),
                INVERSE_BITS_CAP, "bits of element count")
     return ProductAlgebra(l + 1 for l in c.lengths())
-
-
-def tr(c: MultisetObj) -> list[tuple[int, int]]:
-    """Forest representation: each chain becomes a root over its lower part.
-
-    Every instance of length l yields the pair (1, l - 1), the second
-    component being the (possibly empty) chain below the removed maximum.
-    """
-    return [(1, l - 1) for l in c.lengths()]
 
 
 def height(c: MultisetObj) -> int:
@@ -415,8 +403,3 @@ def multiset_from_text(text: str) -> MultisetObj:
         else:
             pairs.append((int(part), 1))
     return MultisetObj(tuple(pairs))
-
-
-def morphism_to_json(f: MCMorphism) -> dict:
-    return {"components": [{"target": j, "map": list(mapping)}
-                           for j, mapping in f.components]}

@@ -234,6 +234,8 @@ class Power(Formula):
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"power exponent must be >= 0, got {self.n}")
+        if self.n > MAX_POWER:
+            raise ValueError("power exponent must be at most 2^64")
 
 
 class ParseError(ValueError):
@@ -302,11 +304,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 _IFF, _IMP, _OR, _AND, _STRONG, _UNARY, _POSTFIX, _ATOM = range(8)
 
 # the deepest formula parse() builds, in levels of the AST.  parse,
-# compile, render, expand_derived, ==, hash and repr use explicit stacks,
-# and evaluate and the sweeps in algebra run compile's straight-line code,
-# so they answer every formula within it.  Input deeper than this is
-# refused before it reaches any of them.
+# compile, render, ==, hash and repr use explicit stacks, and evaluate and
+# the sweeps in algebra run compile's straight-line code, so they answer
+# every formula within it.  Input deeper than this is refused before it
+# reaches any of them.
 MAX_DEPTH = 1000
+
+# the largest power exponent: x^n = x^(m-1) for n >= m-1 on an m-element
+# MTL-chain, so a larger one changes no value on any algebra here
+MAX_POWER = 2**64
 
 # infix token kinds: (node class, binding strength); -> alone is right
 # associative
@@ -374,9 +380,14 @@ def parse(text: str) -> Formula:
             kind, val, pos = tokens[i]
             if kind == "^":
                 i += 1
-                if tokens[i][0] != "num":
+                kind, val, n_pos = tokens[i]
+                if kind != "num":
                     fail({"<nat>"})
-                f, depth = Power(f, int(tokens[i][1])), deeper(depth + 1, pos)
+                # refused by its length first: int() is quadratic in digits
+                digits = "".join([str(int(c)) for c in val]).lstrip("0") or "0"
+                if len(digits) > len(str(MAX_POWER)) or int(digits) > MAX_POWER:
+                    raise ParseError("power exponent must be at most 2^64", n_pos)
+                f, depth = Power(f, int(digits)), deeper(depth + 1, pos)
                 i += 1
                 kind, val, pos = tokens[i]
             while pending and pending[-1][1] == _UNARY:
@@ -562,46 +573,3 @@ def variables(f: Formula) -> list[str]:
     """Variable names in first-occurrence order, without duplicates, also
     those that occur only under a zeroth power."""
     return list(compile(f).names)
-
-
-def expand_derived(f: Formula) -> Formula:
-    """Rewrite to the primitive fragment {Var, Bot, Strong, Min, Imp}.
-
-    Negation becomes arg -> 0, verum becomes 0 -> 0, disjunction becomes
-    ((a -> b) -> b) /\\ ((b -> a) -> a), equivalence becomes
-    (a -> b) & (b -> a) and powers unfold into repeated strong conjunction.
-    The projection D has no abbreviation here and is rejected.  Works on
-    an explicit stack, left to right, so any depth expands.
-    """
-    done: list[Formula] = []  # the expansions of the finished subformulas
-    stack: list[tuple[Formula, bool]] = [(f, False)]
-    while stack:
-        g, ready = stack.pop()
-        if isinstance(g, Delta):
-            raise ValueError("the projection operator has no expansion in the base signature")
-        if isinstance(g, Top) or isinstance(g, Power) and g.n == 0:
-            done.append(Imp(Bot(), Bot()))
-        elif not ready:
-            children = _children(g)
-            if children:
-                stack.append((g, True))
-                stack.extend((c, False) for c in reversed(children))
-            else:
-                done.append(g)
-        elif isinstance(g, Neg):
-            done.append(Imp(done.pop(), Bot()))
-        elif isinstance(g, Power):
-            a = out = done.pop()
-            for _ in range(g.n - 1):
-                out = Strong(out, a)
-            done.append(out)
-        else:
-            b = done.pop()
-            a = done.pop()
-            if isinstance(g, Or):
-                done.append(Min(Imp(Imp(a, b), b), Imp(Imp(b, a), a)))
-            elif isinstance(g, Iff):
-                done.append(Strong(Imp(a, b), Imp(b, a)))
-            else:
-                done.append(type(g)(a, b))
-    return done.pop()

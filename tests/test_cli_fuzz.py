@@ -99,7 +99,12 @@ _FIXED = [
     ("stdout-full", ["thm", "x -> x"], "stdout-full", 120),
     ("stdout-closed", ["thm", "x -> x"], "stdout-closed", 120),
     ("stdin-closed", ["thm", "-"], "stdin-closed", 2),
+    # refused before its digits are converted: an exponent past 2^64
+    ("exponent-digits", ["thm", "-"], None, 2),
 ]
+
+# what a fixed case reads on stdin, where it reads more than nothing
+_FIXED_STDIN = {"exponent-digits": "x^" + "9" * 200_000}
 
 
 def _limits(close):
@@ -133,7 +138,8 @@ def run_hostile(argv, stdin="", mode=None):
 
 
 @pytest.mark.parametrize("argv, stdin, mode, want", [
-    pytest.param(argv, "", mode, want, id=name) for name, argv, mode, want in _FIXED] + [
+    pytest.param(argv, _FIXED_STDIN.get(name, ""), mode, want, id=name)
+    for name, argv, mode, want in _FIXED] + [
     pytest.param(argv, stdin, None, None, id=f"{argv[0]}-{i}")
     for i, (argv, stdin) in enumerate(_generated())])
 def test_hostile_command_lines_end_cleanly(argv, stdin, mode, want):

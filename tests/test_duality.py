@@ -17,12 +17,12 @@ from dplogic import (
     CapExceeded, MCMorphism, MultisetObj, coproduct, enumerate_homomorphisms,
     enumerate_morphisms, free_cardinality, free_coefficient, free_dual,
     height, kx3_identity_check, mc_inverse, morphism_count, power, product,
-    surjection_count, top_lift, tr,
+    surjection_count, top_lift,
 )
 from dplogic.duality import (
     EMPTY, FREE_ONE_DUAL, TERMINAL, _singleton_product, free_dual_closed_form,
-    free_dual_recurrence, monotone_surjections, morphism_to_json,
-    multiset_from_json, multiset_from_text, multiset_to_json,
+    free_dual_recurrence, monotone_surjections, multiset_from_json,
+    multiset_from_text, multiset_to_json,
 )
 
 
@@ -198,12 +198,6 @@ def test_mc_inverse_turns_coproducts_into_products():
             assert sorted(f.size for f in both.factors) == sorted(
                 [f.size for f in mc_inverse(c).factors]
                 + [f.size for f in mc_inverse(d).factors])
-
-
-def test_tr_drops_each_maximum():
-    assert tr(ms(1)) == [(1, 0)]
-    assert tr(ms(3)) == [(1, 2)]
-    assert sorted(tr(ms(1, 3, 2, 1))) == [(1, 0), (1, 0), (1, 1), (1, 2)]
 
 
 def test_height():
@@ -475,12 +469,6 @@ def test_multiset_text_forms():
     assert multiset_from_text(" { 3 } ") == ms(3)
     with pytest.raises(ValueError):
         multiset_from_text("{a}")
-
-
-def test_morphism_json():
-    f = enumerate_morphisms(ms(3), ms(2))[0]
-    assert morphism_to_json(f) == {"components": [{"target": 0,
-                                                   "map": [0, 0, 1]}]}
 
 
 def test_height_behaviour_under_morphisms():

@@ -1,6 +1,5 @@
 """Parser, renderer and expansion checks for the formula layer."""
 
-import itertools
 import random
 import re
 import sys
@@ -10,9 +9,9 @@ import pytest
 
 from dplogic import (
     Bot, Delta, Iff, Imp, Min, Neg, Or, ParseError, Power, Strong, Top, Var,
-    expand_derived, parse, variables,
+    parse, variables,
 )
-from dplogic.algebra import DPChain, enumerate_mtl_chains, evaluate
+from dplogic.algebra import DPChain, enumerate_mtl_chains, evaluate, holds
 from dplogic.formula import _ALIASES, MAX_DEPTH, _tokenize, compile
 from dplogic.suites import random_formula
 
@@ -83,6 +82,19 @@ def test_power_exponent_must_be_nonnegative():
         Power(Var("x"), -1)
 
 
+def test_power_exponent_is_at_most_two_to_the_64():
+    x = Var("x")
+    assert Power(x, 2**64).n == 2**64
+    with pytest.raises(ValueError):
+        Power(x, 2**64 + 1)
+    assert parse("x^18446744073709551616") == Power(x, 2**64)
+    # leading zeros, ASCII or not, do not count against the bound
+    assert parse("x^" + "0" * 40 + "7") == parse("x^" + "٠" * 40 + "٧") == Power(x, 7)
+    for digits in ("18446744073709551617", "9" * 5000):
+        with pytest.raises(ParseError, match="at most 2\\^64 at position 6$"):
+            parse("y & x^" + digits)
+
+
 def test_render_golden_strings():
     assert str(Neg(Var("x"))) == "~x"
     assert str(Power(Var("x"), 2)) == "x^2"
@@ -124,27 +136,13 @@ def test_roundtrip_on_random_asts():
         assert parse(str(f)) == f
 
 
-def test_expansion_of_derived_connectives():
-    x, y = Var("x"), Var("y")
-    assert expand_derived(Neg(x)) == Imp(x, Bot())
-    assert expand_derived(Top()) == Imp(Bot(), Bot())
-    assert expand_derived(Or(x, y)) == Min(Imp(Imp(x, y), y), Imp(Imp(y, x), x))
-    assert expand_derived(Power(x, 0)) == Imp(Bot(), Bot())
-
-
-def test_expansion_rejects_delta():
-    with pytest.raises(ValueError):
-        expand_derived(Delta(Var("x")))
-
-
 def expand_by_ladder(f):
-    """expand_derived as the recursion it replaced: the oracle."""
+    """f without D, rewritten to {Var, Bot, Strong, Min, Imp} by the MTL
+    definitions of ~, 1, \\/, <-> and powers."""
     if isinstance(f, (Var, Bot)):
         return f
     if isinstance(f, Top) or isinstance(f, Power) and f.n == 0:
         return Imp(Bot(), Bot())
-    if isinstance(f, Delta):
-        raise ValueError("no expansion of D")
     if isinstance(f, Neg):
         return Imp(expand_by_ladder(f.arg), Bot())
     if isinstance(f, Power):
@@ -156,25 +154,6 @@ def expand_by_ladder(f):
     if isinstance(f, Iff):
         return Strong(Imp(a, b), Imp(b, a))
     return type(f)(a, b)
-
-
-def test_expansion_matches_the_recursive_expansion():
-    rng = random.Random(80221)
-    rejected = 0
-    for _ in range(400):
-        f = random_formula(rng, rng.randrange(1, 8))
-        try:
-            want = expand_by_ladder(f)
-        except ValueError:
-            with pytest.raises(ValueError):
-                expand_derived(f)
-            rejected += 1
-            continue
-        assert expand_derived(f) == want, str(f)
-    # D is rejected, except under a zeroth power
-    assert 50 < rejected < 350
-    with pytest.raises(TypeError):
-        expand_derived(Strong(Var("x"), "y"))
 
 
 def _primitive_only(f):
@@ -192,13 +171,11 @@ def test_expansion_is_sound_on_small_chains():
         chains.extend(enumerate_mtl_chains(n))
     for _ in range(80):
         f = random_formula(rng, rng.randrange(1, 6), allow_delta=False)
-        g = expand_derived(f)
+        g = expand_by_ladder(f)
         assert _primitive_only(g)
-        names = variables(f)
+        # on a chain, f <-> g is the top exactly where f and g are equal
         for chain in chains:
-            for combo in itertools.product(chain.elements(), repeat=len(names)):
-                v = dict(zip(names, combo))
-                assert evaluate(f, chain, v) == evaluate(g, chain, v)
+            assert holds(Iff(f, g), chain).ok, (str(f), chain)
 
 
 def test_power_matches_iterated_strong():
