@@ -280,18 +280,18 @@ def evaluate(f: Formula, algebra: Algebra, valuation: Valuation):
     return v[root]
 
 
-def holds(f: Formula, algebra: Algebra, cap: int = DEFAULT_CAP) -> Verdict:
+def holds(f: Formula, algebra: Algebra) -> Verdict:
     """Sweep all valuations; true iff f evaluates to top on every one.
 
     Valuations come in itertools.product order over the variables in
     first-occurrence order; the first one whose value is not the top is
     returned as the countermodel.  Each point is evaluate's run of the
-    slot code.  The |A|^k points are counted before any element of the
-    algebra A is listed.
+    slot code.  The |A|^k points are counted against DEFAULT_CAP before
+    any element of the algebra A is listed.
     """
     names, code, root = _bound(f, algebra)
     k = len(names)
-    _check_cap(algebra.size ** k, cap, "valuations")
+    _check_cap(algebra.size ** k, DEFAULT_CAP, "valuations")
     top = algebra.top
     v = [algebra.bot, top] + [None] * (k + len(code))
     # without variables the one point needs no element listed
@@ -343,7 +343,7 @@ def axiom_instance(name: str) -> Formula | tuple[Formula, Formula]:
     return (Power(Var("x"), k), Power(Var("x"), k - 1))
 
 
-def satisfies_axiom(algebra: Algebra, name: str, cap: int = DEFAULT_CAP) -> bool:
+def satisfies_axiom(algebra: Algebra, name: str) -> bool:
     """Brute-force the named axiom schema over all valuations.
 
     An equation lhs = rhs is checked as lhs <-> rhs, which is top on an
@@ -352,7 +352,7 @@ def satisfies_axiom(algebra: Algebra, name: str, cap: int = DEFAULT_CAP) -> bool
     inst = axiom_instance(name)
     if not isinstance(inst, Formula):
         inst = Iff(*inst)
-    return holds(inst, algebra, cap).ok
+    return holds(inst, algebra).ok
 
 
 # the five projection axioms; they pin D down as the top-detector
@@ -465,15 +465,14 @@ def find_embedding(b: DPChain, a: DPChain) -> tuple[int, ...] | None:
     return tuple(range(b.size - 2)) + (a.coatom, a.top)
 
 
-def _tabulate(algebra: Algebra,
-              cap: int = DEFAULT_CAP) -> tuple[list, dict, list[list[int]]]:
+def _tabulate(algebra: Algebra) -> tuple[list, dict, list[list[int]]]:
     """Number the elements and tabulate *, =>, meet and join on the numbers.
 
     tables[t][x * n + y] is the number of the t-th operation applied to
     elements x and y.  The tables hold 4 n^2 entries; when that exceeds
-    cap, CapExceeded is raised before any is built.
+    DEFAULT_CAP, CapExceeded is raised before any is built.
     """
-    _check_cap(4 * algebra.size ** 2, cap, "table entries")
+    _check_cap(4 * algebra.size ** 2, DEFAULT_CAP, "table entries")
     elems = list(algebra.elements())
     index = {e: i for i, e in enumerate(elems)}
     if not isinstance(algebra, ProductAlgebra):
@@ -603,8 +602,7 @@ def _search(source: tuple, dst: Algebra) -> list[tuple]:
     return found
 
 
-def enumerate_homomorphisms(src: Algebra, dst: Algebra,
-                            cap: int = DEFAULT_CAP) -> list[dict]:
+def enumerate_homomorphisms(src: Algebra, dst: Algebra) -> list[dict]:
     """All maps src -> dst preserving *, =>, meet, join, 0 and top.
 
     A homomorphism is fixed by its values on a generating set, so the
@@ -622,13 +620,13 @@ def enumerate_homomorphisms(src: Algebra, dst: Algebra,
     as a search over the whole product would list them.  Nothing is kept
     between calls.
 
-    The cap applies to the 4 |src|^2 entries of src's tables, checked
+    DEFAULT_CAP applies to the 4 |src|^2 entries of src's tables, checked
     before they are built, and to the |dst|^g assignments of dst's
     elements to the g generators, checked before any dst operation runs.
     """
-    elems, index, tables = _tabulate(src, cap)
+    elems, index, tables = _tabulate(src)
     g, program = _derivation(src, index, tables)
-    _check_cap(dst.size ** len(g), cap, "generator assignments")
+    _check_cap(dst.size ** len(g), DEFAULT_CAP, "generator assignments")
     source = (len(elems), tables, index[src.bot], index[src.top], g, program)
     if not isinstance(dst, ProductAlgebra):
         return [dict(zip(elems, h)) for h in _search(source, dst)]
@@ -717,13 +715,12 @@ class _Prefixes:
         return cols
 
 
-def _exact_blocks(k: int, size: int, limit: int,
-                  found: Iterable[tuple[bytes, int]] | None = None,
-                  image: bytes = bytes(range(128))):
-    """The exact valuations of k variables on the size-chain, in
-    lexicographic order and each rank x written as the byte image[x], as
-    blocks of byte columns; with found, only the points below its nodes,
-    (prefix, missing) pairs in that order.
+def _exact_blocks(tree: _Prefixes, limit: int,
+                  found: Iterable[tuple[bytes, int]] | None = None):
+    """The exact valuations of the tree, in lexicographic order and each
+    rank x written as the byte tree.image[x], as blocks of byte columns;
+    with found, only the points below its nodes, (prefix, missing) pairs
+    in that order.
 
     Yields (n, columns): n points, and per variable an n-byte column whose
     p-th byte is its value at the block's p-th point.  A block is a run of
@@ -734,7 +731,6 @@ def _exact_blocks(k: int, size: int, limit: int,
     ranks still missing) up to _BLOCK_BYTES, so memory stays bounded
     however many points the chain has.
     """
-    tree = _Prefixes(k, size, image)
     target = 1
 
     def subtrees(i: int, missing: int, prefix: bytes):
@@ -1035,7 +1031,7 @@ def _exact_sweep(program: Compiled, last: int, cap: int) -> Verdict:
     found = _surviving(trees, points, limit, keep)
     for tree, group in itertools.groupby(found, key=lambda node: node[0]):
         nodes = (node[1:] for node in group if node[1] is not None)
-        for n, cols in _exact_blocks(k, tree.size, limit, nodes, tree.image):
+        for n, cols in _exact_blocks(tree, limit, nodes):
             if not n:
                 continue
             values, refuted = lanes.lower(k, n, cols)

@@ -95,7 +95,10 @@ def _multiset_arg(text: str) -> du.MultisetObj:
     text = text.strip()
     if text.startswith("{\"") or "chains" in text:
         import json
-        return du.multiset_from_json(json.loads(text))
+        try:
+            return du.multiset_from_json(json.loads(text))
+        except RecursionError:  # json's decoder recurses once per level of nesting
+            raise ParseError("JSON operand nested too deeply", 0) from None
     try:
         return du.multiset_from_text(text)
     except ValueError as exc:

@@ -163,12 +163,12 @@ def product(c: MultisetObj, d: MultisetObj) -> MultisetObj:
     return _canonical(tuple(sorted(merged.items())))
 
 
-def power(c: MultisetObj, k: int, cap: int = POWER_INSTANCE_CAP) -> MultisetObj:
+def power(c: MultisetObj, k: int) -> MultisetObj:
     """k-fold product of c with itself; power(c, 0) is the terminal {1}.
 
     A step that leaves the result unchanged ({}, {1} or {2} as c) leaves
     every later one so and ends the loop; any other c at least doubles
-    the instance count per step, so the cap ends it in about log2(cap)."""
+    the instance count per step, so POWER_INSTANCE_CAP ends it within about 20 steps."""
     if k < 0:
         raise ValueError(f"power wants a nonnegative exponent, got {k}")
     out = TERMINAL
@@ -176,7 +176,7 @@ def power(c: MultisetObj, k: int, cap: int = POWER_INSTANCE_CAP) -> MultisetObj:
         out, last = product(out, c), out
         if out == last:
             break
-        _check_cap(out.instance_count(), cap, "chain instances of a power")
+        _check_cap(out.instance_count(), POWER_INSTANCE_CAP, "chain instances of a power")
     return out
 
 

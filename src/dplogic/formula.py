@@ -249,9 +249,10 @@ class ParseError(ValueError):
         super().__init__(f"{message} at position {pos}")
 
 
+# each Unicode alias as the (kind, text) token it stands for
 _ALIASES = {
-    "¬": "~", "∧": "/\\", "∨": "\\/", "→": "->", "↔": "<->",
-    "Δ": "D", "⊥": "0", "⊤": "1",
+    "¬": ("~", "~"), "∧": ("and", "/\\"), "∨": ("or", "\\/"), "→": ("imp", "->"),
+    "↔": ("iff", "<->"), "Δ": ("delta", "D"), "⊥": ("num", "0"), "⊤": ("num", "1"),
 }
 
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
@@ -265,11 +266,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     iff/imp/or/and/num/ident/delta/&/~/^/(/).
 
     White space and numerals are Unicode's (str.isspace, str.isdecimal),
-    identifiers are ASCII: [A-Za-z_][A-Za-z0-9_]*.
+    identifiers are ASCII: [A-Za-z_][A-Za-z0-9_]*.  An alias is its
+    token, at its own position.
     """
-    if not text.isascii():
-        for alias, ascii_form in _ALIASES.items():
-            text = text.replace(alias, " %s " % ascii_form)
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -289,6 +288,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("num", text[start:i], start))
         elif c in _PUNCT:
             tokens.append((c, c, start))
+        elif c in _ALIASES:
+            tokens.append(_ALIASES[c] + (start,))
         else:
             for arrow, kind in _ARROWS:
                 if text.startswith(arrow, start):

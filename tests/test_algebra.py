@@ -18,6 +18,7 @@ from dplogic import (
     holds, is_dp_chain, is_simple, is_theorem, is_theorem_in_variety, parse,
     satisfies_axiom, separating_formula, subvariety_index, variables,
 )
+from dplogic import algebra
 from dplogic.algebra import (
     _Lanes, algebra_to_json, axiom_instance,
     element_name, generating_set, principal_filter, witness_to_json,
@@ -222,9 +223,10 @@ def test_holds_matches_a_sweep_of_evaluate():
     assert 500 < refuted < 2400
 
 
-def test_holds_cap():
+def test_holds_cap(monkeypatch):
+    monkeypatch.setattr(algebra, "DEFAULT_CAP", 100)
     with pytest.raises(CapExceeded):
-        holds(parse("x & y & z"), DPChain(7), cap=100)
+        holds(parse("x & y & z"), DPChain(7))
 
 
 def test_caps_are_checked_before_any_element_is_listed(monkeypatch):
@@ -237,7 +239,8 @@ def test_caps_are_checked_before_any_element_is_listed(monkeypatch):
     with pytest.raises(CapExceeded):
         is_simple(huge)
     # a formula without variables is one point, whatever the algebra
-    verdict = holds(parse("1 -> 0"), huge, cap=1)
+    monkeypatch.setattr(algebra, "DEFAULT_CAP", 1)
+    verdict = holds(parse("1 -> 0"), huge)
     assert (verdict.ok, verdict.valuation, verdict.value) == (False, {}, 0)
 
 
@@ -370,13 +373,16 @@ def test_ncontract():
     assert satisfies_axiom(godel_chain(5), "ncontract(2)")
 
 
-def test_ncontract_equation_respects_the_cap():
+def test_ncontract_equation_respects_the_cap(monkeypatch):
     # x^3 = x^2 is checked through holds: 5 points on the 5-chain
-    assert satisfies_axiom(DPChain(5), "ncontract(3)", cap=5)
+    monkeypatch.setattr(algebra, "DEFAULT_CAP", 5)
+    assert satisfies_axiom(DPChain(5), "ncontract(3)")
+    monkeypatch.setattr(algebra, "DEFAULT_CAP", 4)
     with pytest.raises(CapExceeded):
-        satisfies_axiom(DPChain(5), "ncontract(3)", cap=4)
+        satisfies_axiom(DPChain(5), "ncontract(3)")
+    monkeypatch.setattr(algebra, "DEFAULT_CAP", 11)
     with pytest.raises(CapExceeded):
-        satisfies_axiom(ProductAlgebra([3, 4]), "ncontract(2)", cap=11)
+        satisfies_axiom(ProductAlgebra([3, 4]), "ncontract(2)")
 
 
 def test_axiom_name_validation():
@@ -529,18 +535,19 @@ class _CountingOps:
         return counted
 
 
-def test_homomorphism_cap():
+def test_homomorphism_cap(monkeypatch):
+    monkeypatch.setattr(algebra, "DEFAULT_CAP", 10)
     with pytest.raises(CapExceeded):
-        enumerate_homomorphisms(ProductAlgebra([4, 4]), ProductAlgebra([4, 4]),
-                                cap=10)
+        enumerate_homomorphisms(ProductAlgebra([4, 4]), ProductAlgebra([4, 4]))
     # the cap is checked before any operation of the target runs
     dst = _CountingOps(ProductAlgebra([5] * 6))
     with pytest.raises(CapExceeded):
-        enumerate_homomorphisms(ProductAlgebra([4, 4]), dst, cap=10)
+        enumerate_homomorphisms(ProductAlgebra([4, 4]), dst)
     assert dst.calls == 0
     # 36 table entries pass, 15 625 generator assignments do not
+    monkeypatch.setattr(algebra, "DEFAULT_CAP", 1000)
     with pytest.raises(CapExceeded, match="generator assignments"):
-        enumerate_homomorphisms(DPChain(3), dst, cap=1000)
+        enumerate_homomorphisms(DPChain(3), dst)
     assert dst.calls == 0
 
 
@@ -549,16 +556,18 @@ class _UntabulatedProduct(ProductAlgebra):
         raise AssertionError("the elements were listed")
 
 
-def test_tabulating_a_large_source_raises_before_any_table():
+def test_tabulating_a_large_source_raises_before_any_table(monkeypatch):
     # 3 125 elements would take 4 * 3125^2 = 39 062 500 entries (over a GB)
     src = _UntabulatedProduct([5] * 5)
     with pytest.raises(CapExceeded, match="39062500 table entries"):
         generating_set(src)
     with pytest.raises(CapExceeded, match="table entries"):
         enumerate_homomorphisms(src, DPChain(2))
+    monkeypatch.setattr(algebra, "DEFAULT_CAP", 63)
     with pytest.raises(CapExceeded, match="table entries"):
-        enumerate_homomorphisms(ProductAlgebra([2, 2]), DPChain(2), cap=63)
-    assert len(enumerate_homomorphisms(ProductAlgebra([2, 2]), DPChain(2), cap=64)) == 2
+        enumerate_homomorphisms(ProductAlgebra([2, 2]), DPChain(2))
+    monkeypatch.setattr(algebra, "DEFAULT_CAP", 64)
+    assert len(enumerate_homomorphisms(ProductAlgebra([2, 2]), DPChain(2))) == 2
 
 
 def _closure_generating_set(algebra):
@@ -783,17 +792,21 @@ class _CountingChain(DPChain):
         return super().prod(x, y)
 
 
-def test_homomorphism_cap_on_a_product_target_runs_no_factor_operation():
+def test_homomorphism_cap_on_a_product_target_runs_no_factor_operation(monkeypatch):
     _CountingChain.calls[0] = 0
     dst = ProductAlgebra([_CountingChain(5)] * 6)
+    monkeypatch.setattr(algebra, "DEFAULT_CAP", 1000)
     with pytest.raises(CapExceeded, match="15625 generator assignments exceed the cap of 1000"):
-        enumerate_homomorphisms(DPChain(3), dst, cap=1000)
+        enumerate_homomorphisms(DPChain(3), dst)
     assert _CountingChain.calls[0] == 0
     # the table cap holds for a source analysed just before, too
-    assert len(enumerate_homomorphisms(ProductAlgebra([2, 2]), DPChain(2), cap=64)) == 2
+    monkeypatch.setattr(algebra, "DEFAULT_CAP", 64)
+    assert len(enumerate_homomorphisms(ProductAlgebra([2, 2]), DPChain(2))) == 2
+    monkeypatch.setattr(algebra, "DEFAULT_CAP", 63)
     with pytest.raises(CapExceeded, match="^64 table entries exceed the cap of 63$"):
-        enumerate_homomorphisms(ProductAlgebra([2, 2]), dst, cap=63)
+        enumerate_homomorphisms(ProductAlgebra([2, 2]), dst)
     assert _CountingChain.calls[0] == 0
+    monkeypatch.undo()
     assert len(enumerate_homomorphisms(DPChain(3), dst)) == 1
     assert _CountingChain.calls[0] > 0
 
@@ -855,8 +868,8 @@ def test_is_theorem_matches_minimal_countermodel_by_holds():
 
 def _exact_points(k, size, limit=1 << 16):
     # the points of the column generator, one tuple per point
-    from dplogic.algebra import _exact_blocks
-    for n, cols in _exact_blocks(k, size, limit):
+    from dplogic.algebra import _exact_blocks, _Prefixes
+    for n, cols in _exact_blocks(_Prefixes(k, size), limit):
         assert len(cols) == k and all(len(col) == n for col in cols)
         for p in range(n):
             yield tuple(col[p] for col in cols)
@@ -889,20 +902,21 @@ def test_exact_valuations_on_each_chain_number_its_dual_chains():
     # homomorphisms of the free algebra onto C_s, one per (s-1)-chain of
     # its dual
     from dplogic import free_coefficient
-    from dplogic.algebra import _exact_blocks
-    counts = [sum(n for n, _ in _exact_blocks(6, size, 1 << 16)) for size in range(2, 10)]
+    from dplogic.algebra import _exact_blocks, _Prefixes
+    counts = [sum(n for n, _ in _exact_blocks(_Prefixes(6, size), 1 << 16))
+              for size in range(2, 10)]
     assert counts == [free_coefficient(6, size - 1) for size in range(2, 10)]
     assert counts == [64, 665, 3367, 8162, 11340, 9120, 3960, 720]
     assert sum(counts) == 37398
 
 
 def test_exact_valuation_blocks_do_not_depend_on_the_block_limit():
-    from dplogic.algebra import _exact_blocks
+    from dplogic.algebra import _exact_blocks, _Prefixes
     for k, size in [(0, 2), (3, 2), (4, 5), (5, 4), (5, 8), (6, 6)]:
         want = list(_exact_points(k, size))
         for limit in (1, 2, 5, 64, 1000):
             assert list(_exact_points(k, size, limit)) == want, (k, size, limit)
-            sizes = [n for n, _ in _exact_blocks(k, size, limit)]
+            sizes = [n for n, _ in _exact_blocks(_Prefixes(k, size), limit)]
             assert all(n <= min(4 ** j, limit) for j, n in enumerate(sizes))
 
 
@@ -1015,9 +1029,9 @@ def test_an_early_refutation_ends_the_sweep(monkeypatch):
     swept = {}
     blocks = algebra._exact_blocks
 
-    def counted(k, size, limit, *found):
-        for n, cols in blocks(k, size, limit, *found):
-            swept[size] = swept.get(size, 0) + n
+    def counted(tree, limit, *found):
+        for n, cols in blocks(tree, limit, *found):
+            swept[tree.size] = swept.get(tree.size, 0) + n
             yield n, cols
     monkeypatch.setattr(algebra, "_exact_blocks", counted)
     # valid on the 2-chain; on the 3-chain the first exact valuation puts
@@ -1029,6 +1043,24 @@ def test_an_early_refutation_ends_the_sweep(monkeypatch):
     # of the 3-chain's 3^8 - 2^8 = 6305 exact valuations, a block of one
     # and a block of at most four were built
     assert swept == {2: 2 ** 8, 3: 5}
+
+
+def test_the_sweep_builds_one_prefix_tree_per_chain(monkeypatch):
+    # the tree that _surviving walks is the one the blocks are built from,
+    # so each chain's counts and fans are computed once
+    built = []
+
+    class Counted(algebra._Prefixes):
+        def __init__(self, k, size, *image):
+            built.append(size)
+            super().__init__(k, size, *image)
+    monkeypatch.setattr(algebra, "_Prefixes", Counted)
+    prelinear = " & ".join(f"((x{i} -> x{i + 1}) \\/ (x{i + 1} -> x{i}))" for i in range(1, 5))
+    # a theorem, swept on every chain, and a formula refuted on C_5
+    for f, ok in ((parse(prelinear), True), (separating_formula(4), False)):
+        built.clear()
+        assert is_theorem(f).ok == ok, str(f)
+        assert built == list(range(2, 9)), (str(f), built)
 
 
 def test_eight_variables_sweep_in_bounded_memory():
@@ -1177,15 +1209,16 @@ def test_variety_verdicts_match_sweeps_of_holds():
     assert all(30 < r < len(formulas) - 30 for r in refuted.values()), refuted
 
 
-def test_variety_cap_counts_exact_points():
+def test_variety_cap_counts_exact_points(monkeypatch):
     # V_6 on 7 variables sweeps the exact valuations of C_2, ..., C_6:
     # 156 454 points, where all of C_6 has 6^7 = 279 936
     f = separating_formula(6)
     assert is_theorem_in_variety(f, 6, cap=156_454).ok
     with pytest.raises(CapExceeded, match="156454 valuations"):
         is_theorem_in_variety(f, 6, cap=156_453)
+    monkeypatch.setattr(algebra, "DEFAULT_CAP", 160_000)
     with pytest.raises(CapExceeded):
-        holds(f, DPChain(6), cap=160_000)
+        holds(f, DPChain(6))
 
 
 def test_a_formula_at_the_depth_limit_is_evaluated_expanded_and_decided():
@@ -1287,18 +1320,20 @@ def test_product_algebra_witnesses_use_rank_tuples():
     assert isinstance(data["valuation"]["x"]["rank"], list)
 
 
-def test_cap_messages_bound_long_point_counts():
+def test_cap_messages_bound_long_point_counts(monkeypatch):
     # counts of up to 20 digits print in full; longer ones as "at least"
     # their first four digits in e-notation, not hundreds of digits
     with pytest.raises(CapExceeded) as short:
         is_theorem(parse("x & y -> y & x"), cap=10)
     assert str(short.value) == "18 valuations exceed the cap of 10"
+    monkeypatch.setattr(algebra, "DEFAULT_CAP", 10)
     with pytest.raises(CapExceeded) as short:
-        holds(_balanced_or([f"x{i}" for i in range(19)]), DPChain(10), cap=10)
+        holds(_balanced_or([f"x{i}" for i in range(19)]), DPChain(10))
     assert str(short.value) == f"{10**19} valuations exceed the cap of 10"
     with pytest.raises(CapExceeded) as long:
-        holds(_balanced_or([f"x{i}" for i in range(20)]), DPChain(10), cap=10)
+        holds(_balanced_or([f"x{i}" for i in range(20)]), DPChain(10))
     assert str(long.value) == "at least 1.000e20 valuations exceed the cap of 10"
+    monkeypatch.undo()
     # V_5 on 300 variables sweeps C_2..C_5: a 210-digit count
     from dplogic.duality import free_coefficient
     wide = _balanced_or([f"x{i}" for i in range(300)])

@@ -101,6 +101,8 @@ _FIXED = [
     ("stdin-closed", ["thm", "-"], "stdin-closed", 2),
     # refused before its digits are converted: an exponent past 2^64
     ("exponent-digits", ["thm", "-"], None, 2),
+    # nested deeper than json's decoder recurses: a parse error
+    ("json-depth", ["dual", "product", '{"chains": ' + "[" * 1200, "{1}"], None, 2),
 ]
 
 # what a fixed case reads on stdin, where it reads more than nothing

@@ -153,9 +153,11 @@ def test_power():
         power(ms(2), -1)
 
 
-def test_power_cap():
+def test_power_cap(monkeypatch):
+    from dplogic import duality
+    monkeypatch.setattr(duality, "POWER_INSTANCE_CAP", 10**4)
     with pytest.raises(CapExceeded):
-        power(ms(3, 3, 3), 40, cap=10**4)
+        power(ms(3, 3, 3), 40)
 
 
 def test_power_stops_at_a_fixed_point(monkeypatch):

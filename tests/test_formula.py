@@ -66,6 +66,17 @@ def test_unicode_aliases_accepted_on_input():
     assert parse("⊥ → ⊤") == Imp(Bot(), Top())
 
 
+def test_parse_errors_after_unicode_aliases_give_the_text_position():
+    # an alias is one character of the text, so what follows it keeps its
+    # own position
+    with pytest.raises(ParseError, match="^unexpected character '\\$' at position 4$") as err:
+        parse("x ∧ $")
+    assert err.value.pos == 4
+    with pytest.raises(ParseError, match="^unexpected '\\)' .* at position 5$") as err:
+        parse("¬¬¬¬ )")
+    assert err.value.pos == 5
+
+
 def test_delta_token_is_reserved_but_prefixes_are_not():
     assert parse("D x") == Delta(Var("x"))
     assert parse("D(x & y)") == Delta(Strong(Var("x"), Var("y")))
@@ -368,6 +379,7 @@ _TOKEN_RE = re.compile(
       | (?P<num>\d+)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<punct>[&~^()])
+      | (?P<alias>[¬∧∨→↔Δ⊥⊤])
       | (?P<bad>.)
     """,
     re.VERBOSE | re.DOTALL,
@@ -375,10 +387,8 @@ _TOKEN_RE = re.compile(
 
 
 def regex_tokenize(text):
-    """The tokenizer as one regular expression: the oracle for _tokenize."""
-    if not text.isascii():
-        for alias, ascii_form in _ALIASES.items():
-            text = text.replace(alias, " %s " % ascii_form)
+    """The tokenizer as one regular expression: the oracle for _tokenize.
+    An alias is the token it stands for, at its own position."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
@@ -387,6 +397,8 @@ def regex_tokenize(text):
         val = m.group()
         if kind == "punct":
             kind = val
+        elif kind == "alias":
+            kind, val = _ALIASES[val]
         elif kind == "ident" and val == "D":
             kind = "delta"
         elif kind == "bad":
