@@ -24,6 +24,7 @@ input but never produced by the printer.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from operator import attrgetter
 
 _setattr = object.__setattr__
@@ -191,6 +192,11 @@ class Formula(Record):
 class Var(Formula):
     __slots__ = ("name",)
 
+    def __post_init__(self):
+        name = self.name  # one token to the lexer, so render(Var) parses back
+        if not (isinstance(name, str) and name.isascii() and name.isidentifier()) or name == "D":
+            raise ValueError(f"variable name must be an ASCII identifier other than D: {name!r}")
+
 
 class Bot(Formula):
     __slots__ = ()
@@ -232,6 +238,8 @@ class Power(Formula):
     __slots__ = ("arg", "n")
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise ValueError(f"power exponent must be an int, got {self.n!r}")
         if self.n < 0:
             raise ValueError(f"power exponent must be >= 0, got {self.n}")
         if self.n > MAX_POWER:
@@ -261,15 +269,15 @@ _PUNCT = frozenset("&~^()")
 _ARROWS = (("<->", "iff"), ("->", "imp"), ("\\/", "or"), ("/\\", "and"))
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Lex into (kind, text, position) triples; kind is one of
+def _tokenize(text: str) -> Iterator[tuple[str | None, str, int]]:
+    """Lex into (kind, text, position) triples, each yielded as it is
+    scanned, then (None, "", len(text)); kind is one of
     iff/imp/or/and/num/ident/delta/&/~/^/(/).
 
     White space and numerals are Unicode's (str.isspace, str.isdecimal),
     identifiers are ASCII: [A-Za-z_][A-Za-z0-9_]*.  An alias is its
     token, at its own position.
     """
-    tokens = []
     i, n = 0, len(text)
     while i < n:
         c = text[i]
@@ -281,24 +289,24 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             while i < n and text[i] in _IDENT_PART:
                 i += 1
             word = text[start:i]
-            tokens.append(("delta" if word == "D" else "ident", word, start))
+            yield "delta" if word == "D" else "ident", word, start
         elif c.isdecimal():
             while i < n and text[i].isdecimal():
                 i += 1
-            tokens.append(("num", text[start:i], start))
+            yield "num", text[start:i], start
         elif c in _PUNCT:
-            tokens.append((c, c, start))
+            yield c, c, start
         elif c in _ALIASES:
-            tokens.append(_ALIASES[c] + (start,))
+            yield _ALIASES[c] + (start,)
         else:
             for arrow, kind in _ARROWS:
                 if text.startswith(arrow, start):
-                    tokens.append((kind, arrow, start))
+                    yield kind, arrow, start
                     i = start + len(arrow)
                     break
             else:
                 raise ParseError(f"unexpected character {c!r}", start)
-    return tokens
+    yield None, "", n
 
 
 # binding strength; tighter binds have larger values
@@ -330,18 +338,17 @@ def parse(text: str) -> Formula:
 
     Operator-precedence parsing on explicit stacks, so nesting costs no
     recursion; a formula nested deeper than MAX_DEPTH levels is refused.
+    Tokens are read as the grammar needs them, so the text is scanned only
+    up to the first token it cannot accept, and the error names that token.
     """
-    tokens = _tokenize(text)
-    tokens.append((None, "", len(text)))
+    take = _tokenize(text).__next__
     # operators waiting for their right operand, innermost last: infix ones
     # (their left operands are on `lefts`), prefix ones and open
     # parentheses, as (node class, binding strength, position)
     pending: list[tuple[type | None, int, int]] = []
     lefts: list[tuple[Formula, int]] = []  # (operand, its depth)
-    i = 0
 
-    def fail(expected: set[str]):
-        kind, val, pos = tokens[i]
+    def fail(kind: str | None, val: str, pos: int, expected: set[str]):
         what = "end of input" if kind is None else repr(val)
         raise ParseError(f"unexpected {what}", pos, expected)
 
@@ -360,11 +367,10 @@ def parse(text: str) -> Formula:
         return f, depth
 
     while True:
-        kind, val, pos = tokens[i]
+        kind, val, pos = take()
         while kind in _PREFIX or kind == "(":
             pending.append((_PREFIX.get(kind), _UNARY if kind in _PREFIX else _OPEN, pos))
-            i += 1
-            kind, val, pos = tokens[i]
+            kind, val, pos = take()
         if kind == "ident":
             f = Var(val)
         elif kind == "num":
@@ -372,25 +378,22 @@ def parse(text: str) -> Formula:
                 raise ParseError(f"numeral {val!r} is not a formula", pos, {"0", "1"})
             f = Top() if val == "1" else Bot()
         else:
-            fail({"<ident>", "0", "1", "(", "~", "D"})
-        i += 1
+            fail(kind, val, pos, {"<ident>", "0", "1", "(", "~", "D"})
         depth = 1
         # an atom or a closed parenthesis takes one power, then the prefix
         # operators in front of it
         while True:
-            kind, val, pos = tokens[i]
+            kind, val, pos = take()
             if kind == "^":
-                i += 1
-                kind, val, n_pos = tokens[i]
+                kind, val, n_pos = take()
                 if kind != "num":
-                    fail({"<nat>"})
+                    fail(kind, val, n_pos, {"<nat>"})
                 # refused by its length first: int() is quadratic in digits
                 digits = "".join([str(int(c)) for c in val]).lstrip("0") or "0"
                 if len(digits) > len(str(MAX_POWER)) or int(digits) > MAX_POWER:
                     raise ParseError("power exponent must be at most 2^64", n_pos)
                 f, depth = Power(f, int(digits)), deeper(depth + 1, pos)
-                i += 1
-                kind, val, pos = tokens[i]
+                kind, val, pos = take()
             while pending and pending[-1][1] == _UNARY:
                 cls, _, op_pos = pending.pop()
                 f, depth = cls(f), deeper(depth + 1, op_pos)
@@ -400,19 +403,15 @@ def parse(text: str) -> Formula:
             if not pending:
                 break
             pending.pop()
-            i += 1
         if kind in _INFIX:
             cls, level = _INFIX[kind]
             f, depth = fold(f, depth, level)
             pending.append((cls, level, pos))
             lefts.append((f, depth))
-            i += 1
             continue
         f, depth = fold(f, depth, _IFF)
-        if pending:
-            fail({")"})
-        if kind is not None:
-            fail({"<end of input>"})
+        if pending or kind is not None:
+            fail(kind, val, pos, {")"} if pending else {"<end of input>"})
         return f
 
 

@@ -263,13 +263,35 @@ def test_mtl_chain_validation():
     with pytest.raises(ValueError):
         FiniteMTLChain([[0, 0, 0], [0, 1, 1], [0, 2, 2]])  # top row broken
     with pytest.raises(ValueError):
-        FiniteMTLChain([[0, 0, 0], [0, 0, 2], [0, 1, 2]])  # not commutative
+        FiniteMTLChain([[0, 0, 0], [0, 0, 2], [0, 1, 2]])  # 1 * 2 is 2: top not the unit
     with pytest.raises(ValueError):
         FiniteMTLChain([[0]])  # too small
     # a legal table passes and derives the residuum
     chain = godel_chain(3)
     assert chain.imp(2, 1) == 1
     assert chain.imp(1, 2) == 2
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: FiniteMTLChain([[0, 0], [0]]), "product table must be square",
+                 id="not-square"),
+    pytest.param(lambda: FiniteMTLChain([[0, 0], [0, 2]]), "table entry 2 outside 0..1",
+                 id="above-top"),
+    pytest.param(lambda: FiniteMTLChain([[0, 0], [0, -1]]), "table entry -1 outside 0..1",
+                 id="below-bottom"),
+    pytest.param(lambda: FiniteMTLChain([[1, 0, 0], [0, 1, 1], [0, 1, 2]]),
+                 "bottom element must be absorbing", id="bottom-not-absorbing"),
+    pytest.param(lambda: FiniteMTLChain([[0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 2, 2], [0, 1, 2, 3]]),
+                 "table not commutative at (1,2)", id="not-commutative"),
+    pytest.param(lambda: FiniteMTLChain([[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]),
+                 "table not monotone at (1,1)", id="not-monotone"),
+    pytest.param(lambda: axiom_instance("ncontract(0)"), "ncontract(n) needs n >= 1",
+                 id="ncontract-0"),
+])
+def test_algebra_input_checks_name_what_they_refuse(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_is_dp_chain_examples():

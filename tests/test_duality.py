@@ -248,6 +248,21 @@ def test_morphism_validation():
         MCMorphism(c, d, ())  # missing component
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: MCMorphism(ms(3), ms(2), ((0, (0, 1)),)),
+                 "component map must cover every source rank", id="short-map"),
+    pytest.param(lambda: MCMorphism(ms(3), ms(2), ((0, (0, 0, 2)),)),
+                 "component map value out of target range", id="above-target"),
+    pytest.param(lambda: MCMorphism(ms(3), ms(2), ((0, (0, 0, -1)),)),
+                 "component map value out of target range", id="below-target"),
+    pytest.param(lambda: free_dual_recurrence(-1), "need k >= 0, got -1", id="recurrence-k"),
+])
+def test_duality_input_checks_name_what_they_refuse(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_enumerate_morphisms_examples():
     assert len(enumerate_morphisms(ms(2), ms(2))) == 1
     assert len(enumerate_morphisms(ms(2), ms(1))) == 1

@@ -77,6 +77,21 @@ def test_parse_errors_after_unicode_aliases_give_the_text_position():
     assert err.value.pos == 5
 
 
+def test_parse_reads_no_further_than_the_token_it_stops_at():
+    # the second & is refused before the character after it is scanned
+    with pytest.raises(ParseError, match="^unexpected '&' .* at position 4$") as err:
+        parse("x & & $")
+    assert err.value.pos == 4 and err.value.expected == {"<ident>", "0", "1", "(", "~", "D"}
+    with pytest.raises(ParseError, match="^numeral '2' is not a formula"):
+        parse("2@")
+    tokens = _tokenize("x $")
+    assert next(tokens) == ("ident", "x", 0)
+    with pytest.raises(ParseError, match="^unexpected character '\\$' at position 2$"):
+        next(tokens)
+    assert list(_tokenize("x -> 1")) == [("ident", "x", 0), ("imp", "->", 2), ("num", "1", 5),
+                                        (None, "", 6)]
+
+
 def test_delta_token_is_reserved_but_prefixes_are_not():
     assert parse("D x") == Delta(Var("x"))
     assert parse("D(x & y)") == Delta(Strong(Var("x"), Var("y")))
@@ -104,6 +119,20 @@ def test_power_exponent_is_at_most_two_to_the_64():
     for digits in ("18446744073709551617", "9" * 5000):
         with pytest.raises(ParseError, match="at most 2\\^64 at position 6$"):
             parse("y & x^" + digits)
+
+
+@pytest.mark.parametrize("name", ["1", "D", "x y", "", "x-1", "é", "x\u0301", 1, None], ids=repr)
+def test_var_refuses_a_name_that_is_not_one_identifier_token(name):
+    # none is one identifier to the lexer, so none would render as text that parses back to it
+    with pytest.raises(ValueError, match="^variable name must be an ASCII identifier "
+                                         "other than D: "):
+        Var(name)
+
+
+@pytest.mark.parametrize("n", [True, False, 2.5, 2.0, "2"], ids=repr)
+def test_power_refuses_an_exponent_that_is_not_an_int(n):
+    with pytest.raises(ValueError, match="^power exponent must be an int, got "):
+        Power(Var("x"), n)
 
 
 def test_render_golden_strings():
@@ -268,23 +297,25 @@ def test_compile_needs_no_recursion():
 
 class ReferenceParser:
     """The module grammar transcribed rule by rule as recursive descent:
-    the oracle for parse() on input shallow enough to recurse on."""
+    the oracle for parse() on input shallow enough to recurse on.  It
+    holds one token of lookahead, so it scans the text no further than
+    the token it stops at."""
 
     def __init__(self, text):
         self.text = text
         self.tokens = _tokenize(text)
-        self.pos = 0
+        self.next = next(self.tokens)
 
     def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+        return self.next[0]
 
     def take(self):
-        self.pos += 1
-        return self.tokens[self.pos - 1]
+        token, self.next = self.next, next(self.tokens)
+        return token
 
     def fail(self, expected):
-        if self.pos < len(self.tokens):
-            _, val, pos = self.tokens[self.pos]
+        kind, val, pos = self.next
+        if kind is not None:
             raise ParseError(f"unexpected {val!r}", pos, expected)
         raise ParseError("unexpected end of input", len(self.text), expected)
 
@@ -328,9 +359,11 @@ class ReferenceParser:
         if kind == "ident":
             return Var(self.take()[1])
         if kind == "num":
-            _, val, pos = self.take()
+            # checked before it is taken: taking it reads the token after it
+            _, val, pos = self.next
             if val not in ("0", "1"):
                 raise ParseError(f"numeral {val!r} is not a formula", pos, {"0", "1"})
+            self.take()
             return Bot() if val == "0" else Top()
         if kind == "(":
             self.take()
@@ -417,7 +450,8 @@ def test_tokenizer_matches_the_regex_tokenizer():
     rng = random.Random(60601)
     for _ in range(20000):
         text = "".join(rng.choice(pieces) for _ in range(rng.randrange(12)))
-        assert outcome(_tokenize, text) == outcome(regex_tokenize, text), text
+        assert (outcome(lambda t: list(_tokenize(t))[:-1], text)
+                == outcome(regex_tokenize, text)), text
     # the scanner's character classes are the expression's \s and \d
     chars = "".join(map(chr, range(sys.maxunicode + 1)))
     assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
