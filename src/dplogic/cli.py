@@ -11,8 +11,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import algebra as alg
-from . import duality as du
+from . import decide
 from .formula import ParseError, parse
 
 EXIT_OK = 0
@@ -59,9 +58,9 @@ def cmd_thm(args) -> int:
         raise ValueError("--cap must be at least 1")
     f = _read_formula(args.formula)
     if args.variety is not None:
-        verdict = alg.is_theorem_in_variety(f, args.variety, args.cap)
+        verdict = decide.is_theorem_in_variety(f, args.variety, args.cap)
     else:
-        verdict = alg.is_theorem(f, args.cap)
+        verdict = decide.is_theorem(f, args.cap)
     payload = {"status": "theorem" if verdict.ok else "non_theorem",
                "formula": str(f)}
     if args.variety is not None:
@@ -69,12 +68,14 @@ def cmd_thm(args) -> int:
     if verdict.ok:
         _emit(args, payload, f"theorem: {f}")
         return EXIT_OK
-    witness = payload["witness"] = alg.witness_to_json(verdict)
+    witness = payload["witness"] = decide.witness_to_json(verdict)
     _emit(args, payload, f"non-theorem: {f}\n  {_witness_text(witness)}")
     return EXIT_FAIL
 
 
 def cmd_free(args) -> int:
+    from . import duality as du
+
     k = args.k
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
@@ -92,6 +93,8 @@ def cmd_free(args) -> int:
 
 
 def _multiset_arg(text: str) -> du.MultisetObj:
+    from . import duality as du
+
     text = text.strip()
     if text.startswith("{\"") or "chains" in text:
         import json
@@ -116,6 +119,8 @@ _DUAL = {"product": ("product", "two multisets", _PAIR),
 
 
 def cmd_dual(args) -> int:
+    from . import duality as du
+
     op, words = args.op, args.operands
     name, takes, parsers = _DUAL[op]
     if len(words) != len(parsers):
@@ -127,12 +132,14 @@ def cmd_dual(args) -> int:
         _emit(args, {"status": "ok", "count": out}, out)
     else:  # the product of chains mc_inverse builds
         size = out.size
-        _emit(args, {"status": "ok", "algebra": alg.algebra_to_json(out), "size": size},
+        _emit(args, {"status": "ok", "algebra": decide.algebra_to_json(out), "size": size},
               f"product of chain sizes {[f.size for f in out.factors]} ({size} elements)")
     return EXIT_OK
 
 
 def cmd_chains(args) -> int:
+    from . import algebra as alg
+
     chains = alg.enumerate_mtl_chains(args.n)
     if args.cls == "wnm":
         chains = [c for c in chains if alg.satisfies_axiom(c, "wnm")]
@@ -143,7 +150,7 @@ def cmd_chains(args) -> int:
         chains = [c for c in chains if alg.is_dp_chain(c)]
     payload = {"status": "ok", "size": args.n, "class": args.cls,
                "count": len(chains),
-               "chains": [alg.algebra_to_json(c) for c in chains]}
+               "chains": [decide.algebra_to_json(c) for c in chains]}
     lines = [f"{len(chains)} chain(s) of size {args.n} in class {args.cls}"]
     for c in chains:
         lines.append("  " + " / ".join(" ".join(str(v) for v in row)
@@ -185,7 +192,7 @@ _COMMANDS = {
         ("formula", {}),
         ("--variety", {"type": int, "default": None, "metavar": "N",
                        "help": "restrict to the variety of the N-element chain"}),
-        ("--cap", {"type": int, "default": alg.DEFAULT_CAP,
+        ("--cap", {"type": int, "default": decide.DEFAULT_CAP,
                    "help": "maximum evaluated points per sweep"}),
     )),
     "free": (cmd_free, "free finitely generated algebra report", (
@@ -329,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK  # the reader (e.g. `head`) closed the pipe early
         print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
-    except alg.CapExceeded as exc:
+    except decide.CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except ValueError as exc:  # ParseError and EvaluationError among them

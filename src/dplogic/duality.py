@@ -19,7 +19,7 @@ import math
 from collections.abc import Iterable, Mapping
 from functools import cache
 
-from .algebra import ProductAlgebra, _check_cap
+from .decide import _check_cap, free_coefficient
 from .formula import ParseError, Record
 
 POWER_INSTANCE_CAP = 10**6
@@ -50,6 +50,10 @@ class MultisetObj(Record):
     def __post_init__(self):
         merged: dict[int, int] = {}
         for length, mult in self.chains:
+            if type(length) is not int:
+                raise ValueError(f"chain length must be an int, got {length!r}")
+            if type(mult) is not int:
+                raise ValueError(f"multiplicity must be an int, got {mult!r}")
             if length < 1:
                 raise ValueError(f"chain length must be >= 1, got {length}")
             if mult < 0:
@@ -183,6 +187,8 @@ def power(c: MultisetObj, k: int) -> MultisetObj:
 def mc_inverse(c: MultisetObj) -> ProductAlgebra:
     """The algebra dual to c: a product of chains of sizes length + 1,
     refused past INVERSE_BITS_CAP bits of elements."""
+    from .algebra import ProductAlgebra  # the other commands do not load algebra
+
     if not c:
         raise ValueError("the empty multiset dualizes the trivial algebra, "
                          "which has no product-of-chains form")
@@ -307,23 +313,6 @@ def enumerate_morphisms(c: MultisetObj, d: MultisetObj) -> list[MCMorphism]:
 def free_dual(k: int) -> MultisetObj:
     """Dual of the free k-generated algebra: the k-th power of {1,1,2,3}."""
     return power(FREE_ONE_DUAL, k)
-
-
-def free_coefficient(k: int, h: int) -> int:
-    """Multiplicity of the h-chain in the dual of the free k-generated
-    algebra, by the closed form; 0 whenever h > k + 2."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    if h < 1:
-        raise ValueError(f"need h >= 1, got {h}")
-    if h == 1:
-        return 2 ** k
-    if h == 2:
-        return 3 ** k - 2 ** k
-    if h > k + 2:
-        return 0
-    return sum((-1) ** i * math.comb(h - 2, i) * (h + 1 - i) ** k
-               for i in range(h - 1))
 
 
 def free_dual_closed_form(k: int) -> MultisetObj:

@@ -206,31 +206,55 @@ class Top(Formula):
     __slots__ = ()
 
 
-class Strong(Formula):
+def _refuse(node: Formula, child) -> None:
+    # a connective takes formulas only: render, compile and the sweeps
+    # read nothing else in a tree
+    raise ValueError(f"{type(node).__name__} takes formulas, got {child!r}")
+
+
+class _Binary(Formula):
+    __slots__ = ()
+
+    def __post_init__(self):
+        if not isinstance(self.lhs, Formula):
+            _refuse(self, self.lhs)
+        if not isinstance(self.rhs, Formula):
+            _refuse(self, self.rhs)
+
+
+class _Unary(Formula):
+    __slots__ = ()
+
+    def __post_init__(self):
+        if not isinstance(self.arg, Formula):
+            _refuse(self, self.arg)
+
+
+class Strong(_Binary):
     __slots__ = ("lhs", "rhs")
 
 
-class Min(Formula):
+class Min(_Binary):
     __slots__ = ("lhs", "rhs")
 
 
-class Imp(Formula):
+class Imp(_Binary):
     __slots__ = ("lhs", "rhs")
 
 
-class Neg(Formula):
+class Neg(_Unary):
     __slots__ = ("arg",)
 
 
-class Or(Formula):
+class Or(_Binary):
     __slots__ = ("lhs", "rhs")
 
 
-class Iff(Formula):
+class Iff(_Binary):
     __slots__ = ("lhs", "rhs")
 
 
-class Delta(Formula):
+class Delta(_Unary):
     __slots__ = ("arg",)
 
 
@@ -238,6 +262,8 @@ class Power(Formula):
     __slots__ = ("arg", "n")
 
     def __post_init__(self):
+        if not isinstance(self.arg, Formula):
+            _refuse(self, self.arg)
         if type(self.n) is not int:
             raise ValueError(f"power exponent must be an int, got {self.n!r}")
         if self.n < 0:

@@ -13,6 +13,7 @@ import itertools
 import math
 
 from . import algebra as alg
+from . import decide
 from . import duality as du
 from .formula import (
     Bot, Delta, Formula, Iff, Imp, Min, Neg, Or, Power, Strong, Top, Var, variables,
@@ -279,7 +280,8 @@ def free_suite() -> list[CheckRow]:
 
     # with c = {s-1} the morphisms are the s^k valuations on C_s; those onto
     # C_s, the exact ones the decision sweep visits, number the (s-1)-chains
-    ok = all(sum(n for n, _ in alg._exact_blocks(alg._Prefixes(k, s), alg._BLOCK_BYTES))
+    ok = all(sum(n for n, _ in decide._exact_blocks(decide._Prefixes(k, s),
+                                                     decide._BLOCK_BYTES))
              == du.free_coefficient(k, s - 1)
              for k in range(1, 6) for s in range(2, k + 4))
     rows.append(_row("exact valuations on C_s number the dual's (s-1)-chains", ok,

@@ -18,11 +18,12 @@ from dplogic import (
     holds, is_dp_chain, is_simple, is_theorem, is_theorem_in_variety, parse,
     satisfies_axiom, separating_formula, subvariety_index, variables,
 )
-from dplogic import algebra
+from dplogic import algebra, decide
 from dplogic.algebra import (
-    _Lanes, algebra_to_json, axiom_instance,
+    algebra_to_json, axiom_instance,
     element_name, generating_set, principal_filter, witness_to_json,
 )
+from dplogic.decide import _Lanes
 from dplogic.suites import random_formula
 from free_oracle import free_algebra_bruteforce
 
@@ -224,7 +225,7 @@ def test_holds_matches_a_sweep_of_evaluate():
 
 
 def test_holds_cap(monkeypatch):
-    monkeypatch.setattr(algebra, "DEFAULT_CAP", 100)
+    monkeypatch.setattr(decide, "DEFAULT_CAP", 100)
     with pytest.raises(CapExceeded):
         holds(parse("x & y & z"), DPChain(7))
 
@@ -239,7 +240,7 @@ def test_caps_are_checked_before_any_element_is_listed(monkeypatch):
     with pytest.raises(CapExceeded):
         is_simple(huge)
     # a formula without variables is one point, whatever the algebra
-    monkeypatch.setattr(algebra, "DEFAULT_CAP", 1)
+    monkeypatch.setattr(decide, "DEFAULT_CAP", 1)
     verdict = holds(parse("1 -> 0"), huge)
     assert (verdict.ok, verdict.valuation, verdict.value) == (False, {}, 0)
 
@@ -291,6 +292,19 @@ def test_mtl_chain_validation():
 def test_algebra_input_checks_name_what_they_refuse(build, message):
     with pytest.raises(ValueError) as err:
         build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("size", [2.5, 3.0, True, "3", None], ids=repr)
+def test_chain_sizes_must_be_ints(size):
+    # a float size built a chain with a float top, on which holds later
+    # failed with a bare TypeError
+    message = f"chain size must be an int, got {size!r}"
+    with pytest.raises(ValueError) as err:
+        DPChain(size)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        ProductAlgebra([3, size])
     assert str(err.value) == message
 
 
@@ -397,12 +411,12 @@ def test_ncontract():
 
 def test_ncontract_equation_respects_the_cap(monkeypatch):
     # x^3 = x^2 is checked through holds: 5 points on the 5-chain
-    monkeypatch.setattr(algebra, "DEFAULT_CAP", 5)
+    monkeypatch.setattr(decide, "DEFAULT_CAP", 5)
     assert satisfies_axiom(DPChain(5), "ncontract(3)")
-    monkeypatch.setattr(algebra, "DEFAULT_CAP", 4)
+    monkeypatch.setattr(decide, "DEFAULT_CAP", 4)
     with pytest.raises(CapExceeded):
         satisfies_axiom(DPChain(5), "ncontract(3)")
-    monkeypatch.setattr(algebra, "DEFAULT_CAP", 11)
+    monkeypatch.setattr(decide, "DEFAULT_CAP", 11)
     with pytest.raises(CapExceeded):
         satisfies_axiom(ProductAlgebra([3, 4]), "ncontract(2)")
 
@@ -558,7 +572,7 @@ class _CountingOps:
 
 
 def test_homomorphism_cap(monkeypatch):
-    monkeypatch.setattr(algebra, "DEFAULT_CAP", 10)
+    monkeypatch.setattr(decide, "DEFAULT_CAP", 10)
     with pytest.raises(CapExceeded):
         enumerate_homomorphisms(ProductAlgebra([4, 4]), ProductAlgebra([4, 4]))
     # the cap is checked before any operation of the target runs
@@ -567,7 +581,7 @@ def test_homomorphism_cap(monkeypatch):
         enumerate_homomorphisms(ProductAlgebra([4, 4]), dst)
     assert dst.calls == 0
     # 36 table entries pass, 15 625 generator assignments do not
-    monkeypatch.setattr(algebra, "DEFAULT_CAP", 1000)
+    monkeypatch.setattr(decide, "DEFAULT_CAP", 1000)
     with pytest.raises(CapExceeded, match="generator assignments"):
         enumerate_homomorphisms(DPChain(3), dst)
     assert dst.calls == 0
@@ -585,10 +599,10 @@ def test_tabulating_a_large_source_raises_before_any_table(monkeypatch):
         generating_set(src)
     with pytest.raises(CapExceeded, match="table entries"):
         enumerate_homomorphisms(src, DPChain(2))
-    monkeypatch.setattr(algebra, "DEFAULT_CAP", 63)
+    monkeypatch.setattr(decide, "DEFAULT_CAP", 63)
     with pytest.raises(CapExceeded, match="table entries"):
         enumerate_homomorphisms(ProductAlgebra([2, 2]), DPChain(2))
-    monkeypatch.setattr(algebra, "DEFAULT_CAP", 64)
+    monkeypatch.setattr(decide, "DEFAULT_CAP", 64)
     assert len(enumerate_homomorphisms(ProductAlgebra([2, 2]), DPChain(2))) == 2
 
 
@@ -817,14 +831,14 @@ class _CountingChain(DPChain):
 def test_homomorphism_cap_on_a_product_target_runs_no_factor_operation(monkeypatch):
     _CountingChain.calls[0] = 0
     dst = ProductAlgebra([_CountingChain(5)] * 6)
-    monkeypatch.setattr(algebra, "DEFAULT_CAP", 1000)
+    monkeypatch.setattr(decide, "DEFAULT_CAP", 1000)
     with pytest.raises(CapExceeded, match="15625 generator assignments exceed the cap of 1000"):
         enumerate_homomorphisms(DPChain(3), dst)
     assert _CountingChain.calls[0] == 0
     # the table cap holds for a source analysed just before, too
-    monkeypatch.setattr(algebra, "DEFAULT_CAP", 64)
+    monkeypatch.setattr(decide, "DEFAULT_CAP", 64)
     assert len(enumerate_homomorphisms(ProductAlgebra([2, 2]), DPChain(2))) == 2
-    monkeypatch.setattr(algebra, "DEFAULT_CAP", 63)
+    monkeypatch.setattr(decide, "DEFAULT_CAP", 63)
     with pytest.raises(CapExceeded, match="^64 table entries exceed the cap of 63$"):
         enumerate_homomorphisms(ProductAlgebra([2, 2]), dst)
     assert _CountingChain.calls[0] == 0
@@ -890,7 +904,7 @@ def test_is_theorem_matches_minimal_countermodel_by_holds():
 
 def _exact_points(k, size, limit=1 << 16):
     # the points of the column generator, one tuple per point
-    from dplogic.algebra import _exact_blocks, _Prefixes
+    from dplogic.decide import _exact_blocks, _Prefixes
     for n, cols in _exact_blocks(_Prefixes(k, size), limit):
         assert len(cols) == k and all(len(col) == n for col in cols)
         for p in range(n):
@@ -924,7 +938,7 @@ def test_exact_valuations_on_each_chain_number_its_dual_chains():
     # homomorphisms of the free algebra onto C_s, one per (s-1)-chain of
     # its dual
     from dplogic import free_coefficient
-    from dplogic.algebra import _exact_blocks, _Prefixes
+    from dplogic.decide import _exact_blocks, _Prefixes
     counts = [sum(n for n, _ in _exact_blocks(_Prefixes(6, size), 1 << 16))
               for size in range(2, 10)]
     assert counts == [free_coefficient(6, size - 1) for size in range(2, 10)]
@@ -933,7 +947,7 @@ def test_exact_valuations_on_each_chain_number_its_dual_chains():
 
 
 def test_exact_valuation_blocks_do_not_depend_on_the_block_limit():
-    from dplogic.algebra import _exact_blocks, _Prefixes
+    from dplogic.decide import _exact_blocks, _Prefixes
     for k, size in [(0, 2), (3, 2), (4, 5), (5, 4), (5, 8), (6, 6)]:
         want = list(_exact_points(k, size))
         for limit in (1, 2, 5, 64, 1000):
@@ -1047,15 +1061,14 @@ def test_column_sweep_matches_the_point_by_point_sweep():
 
 
 def test_an_early_refutation_ends_the_sweep(monkeypatch):
-    from dplogic import algebra
     swept = {}
-    blocks = algebra._exact_blocks
+    blocks = decide._exact_blocks
 
     def counted(tree, limit, *found):
         for n, cols in blocks(tree, limit, *found):
             swept[tree.size] = swept.get(tree.size, 0) + n
             yield n, cols
-    monkeypatch.setattr(algebra, "_exact_blocks", counted)
+    monkeypatch.setattr(decide, "_exact_blocks", counted)
     # valid on the 2-chain; on the 3-chain the first exact valuation puts
     # the coatom on x8, the second on x7, which refutes x7 \/ ~x7
     f = parse("(x1 & x2 & x3 & x4 & x5 & x6 & 0) \\/ x7 \\/ ~x7 \\/ (x8 & 0)")
@@ -1072,11 +1085,11 @@ def test_the_sweep_builds_one_prefix_tree_per_chain(monkeypatch):
     # so each chain's counts and fans are computed once
     built = []
 
-    class Counted(algebra._Prefixes):
+    class Counted(decide._Prefixes):
         def __init__(self, k, size, *image):
             built.append(size)
             super().__init__(k, size, *image)
-    monkeypatch.setattr(algebra, "_Prefixes", Counted)
+    monkeypatch.setattr(decide, "_Prefixes", Counted)
     prelinear = " & ".join(f"((x{i} -> x{i + 1}) \\/ (x{i + 1} -> x{i}))" for i in range(1, 5))
     # a theorem, swept on every chain, and a formula refuted on C_5
     for f, ok in ((parse(prelinear), True), (separating_formula(4), False)):
@@ -1104,11 +1117,9 @@ def test_eight_variables_sweep_in_bounded_memory():
 
 
 def test_chains_above_128_elements_raise_before_any_evaluation(monkeypatch):
-    from dplogic import algebra
-
     def no_sweep(*args):
         raise AssertionError("the sweep started")
-    monkeypatch.setattr(algebra, "_exact_blocks", no_sweep)
+    monkeypatch.setattr(decide, "_exact_blocks", no_sweep)
     wide = reduce(Or, [Var(f"x{i}") for i in range(126)])
     for cap in (10**20, 10**1000):
         with pytest.raises(CapExceeded, match="^129 elements of the chain for 126 variables "
@@ -1171,11 +1182,9 @@ def test_lane_operations_are_the_chain_operations():
 
 
 def test_wide_formulas_meet_the_lane_limit_before_their_point_count(monkeypatch):
-    from dplogic import duality
-
     def no_count(*args):
         raise AssertionError("the points were counted")
-    monkeypatch.setattr(duality, "free_coefficient", no_count)
+    monkeypatch.setattr(decide, "free_coefficient", no_count)
     wide = _balanced_or([f"x{i}" for i in range(2000)])
     with pytest.raises(CapExceeded, match="^2003 elements of the chain for 2000 variables"):
         is_theorem(wide)
@@ -1238,7 +1247,7 @@ def test_variety_cap_counts_exact_points(monkeypatch):
     assert is_theorem_in_variety(f, 6, cap=156_454).ok
     with pytest.raises(CapExceeded, match="156454 valuations"):
         is_theorem_in_variety(f, 6, cap=156_453)
-    monkeypatch.setattr(algebra, "DEFAULT_CAP", 160_000)
+    monkeypatch.setattr(decide, "DEFAULT_CAP", 160_000)
     with pytest.raises(CapExceeded):
         holds(f, DPChain(6))
 
@@ -1348,7 +1357,7 @@ def test_cap_messages_bound_long_point_counts(monkeypatch):
     with pytest.raises(CapExceeded) as short:
         is_theorem(parse("x & y -> y & x"), cap=10)
     assert str(short.value) == "18 valuations exceed the cap of 10"
-    monkeypatch.setattr(algebra, "DEFAULT_CAP", 10)
+    monkeypatch.setattr(decide, "DEFAULT_CAP", 10)
     with pytest.raises(CapExceeded) as short:
         holds(_balanced_or([f"x{i}" for i in range(19)]), DPChain(10))
     assert str(short.value) == f"{10**19} valuations exceed the cap of 10"

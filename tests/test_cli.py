@@ -619,15 +619,22 @@ def test_import_footprint():
     # import path of `dp`, and the usual requests (canonical command lines,
     # --json among them) load no more of them: argparse, re and json load
     # only for help, usage errors, JSON operands and axiom schemas; the C
-    # module _json only for --json output, random only for check axioms
+    # module _json only for --json output, random only for check axioms.
+    # Of the package's own modules, thm loads formula and decide alone, and
+    # dual product and homcount add duality, not algebra
     probe = ("import sys, dplogic.cli\n"
              "heavy = ('dataclasses', 'typing', 'inspect', 'ast', 'dis', "
              "'tokenize', 'shutil', 'random', 'json', 'dplogic.suites', "
              "'re', 'argparse', 'enum', 'gettext', 'locale', '_json')\n"
+             "def package():\n"
+             "    print('package:', *sorted(m for m in sys.modules if m.startswith('dplogic')))\n"
              "print('loaded:', *[m for m in heavy if m in sys.modules])\n"
-             "for argv in (['thm', 'x'], ['dual', 'product', '{3}', '{1,2}'], "
+             "dplogic.cli.main(['thm', 'x'])\n"
+             "package()\n"
+             "for argv in (['dual', 'product', '{3}', '{1,2}'], "
              "['dual', 'homcount', '{3}', '{2}']):\n"
              "    dplogic.cli.main(argv)\n"
+             "package()\n"
              "print('loaded:', *[m for m in heavy if m in sys.modules])\n"
              "for argv in (['thm', '--json', 'x \\\\/ ~x'], "
              "['free', '3', '--json'], ['chains', '3', '--json']):\n"
@@ -642,3 +649,47 @@ def test_import_footprint():
     assert done.returncode == 0, done.stderr
     assert loaded == ["loaded:", "loaded:", "loaded: _json",
                       "loaded: dplogic.suites _json"]
+    package = [line for line in done.stdout.splitlines() if line.startswith("package:")]
+    assert package == [
+        "package: dplogic dplogic.cli dplogic.decide dplogic.formula",
+        "package: dplogic dplogic.cli dplogic.decide dplogic.duality dplogic.formula"]
+
+
+def _fresh(code: str) -> str:
+    # code's output in a new interpreter that has imported nothing of dplogic
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dplogic.__file__)))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _fresh("import sys, dplogic\n"
+                  "print(*sorted(m for m in sys.modules if m.startswith('dplogic')))\n"
+                  ) == "dplogic\n"
+
+
+def test_public_names_load_on_first_use():
+    # each name of __all__ is its home module's own object, star-import
+    # gives all of them, a submodule is an attribute after a bare import,
+    # and an unknown name is an AttributeError
+    for name in dplogic.__all__:
+        value = getattr(dplogic, name)
+        home = sys.modules[value.__module__]
+        assert home.__name__.startswith("dplogic.") and getattr(home, name) is value, name
+    assert len(dplogic.__all__) == len(set(dplogic.__all__)) == 51
+    assert set(dplogic._HOME) == set(dplogic.__all__)
+    assert set(dplogic.__all__) <= set(dir(dplogic))
+    out = _fresh("import dplogic\n"
+                 "print(dplogic.algebra.holds.__module__, dplogic.decide.DPChain(3))\n"
+                 "try:\n"
+                 "    dplogic.no_such_name\n"
+                 "except AttributeError as exc:\n"
+                 "    print(exc)\n"
+                 "names = {}\n"
+                 "exec('from dplogic import *', names)\n"
+                 "print(sorted(set(names) - {'__builtins__'}) == sorted(dplogic.__all__))\n")
+    assert out.splitlines() == ["dplogic.algebra DPChain(size=3)",
+                                "module 'dplogic' has no attribute 'no_such_name'",
+                                "True"]

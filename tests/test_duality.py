@@ -263,6 +263,24 @@ def test_duality_input_checks_name_what_they_refuse(build, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("chains, message", [
+    (((1.5, 2),), "chain length must be an int, got 1.5"),
+    (((2.0, 1),), "chain length must be an int, got 2.0"),
+    (((True, 1),), "chain length must be an int, got True"),
+    (((2, 1.0),), "multiplicity must be an int, got 1.0"),
+    (((2, False),), "multiplicity must be an int, got False"),
+    (((3, 1), ("4", 1)), "chain length must be an int, got '4'"),
+], ids=str)
+def test_multiset_lengths_and_multiplicities_must_be_ints(chains, message):
+    # a float one built, and str, product and morphism_count then raised
+    # bare TypeErrors
+    with pytest.raises(ValueError) as err:
+        MultisetObj(chains)
+    assert str(err.value) == message
+    with pytest.raises(ValueError, match="^chain length must be an int, got 2.5$"):
+        MultisetObj.from_lengths([3, 2.5])
+
+
 def test_enumerate_morphisms_examples():
     assert len(enumerate_morphisms(ms(2), ms(2))) == 1
     assert len(enumerate_morphisms(ms(2), ms(1))) == 1

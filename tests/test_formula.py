@@ -135,6 +135,22 @@ def test_power_refuses_an_exponent_that_is_not_an_int(n):
         Power(Var("x"), n)
 
 
+_BAD_CHILDREN = [
+    (Neg, (5,), 5), (Or, (Var("x"), "y"), "y"), (Strong, (None, Top()), None),
+    (Min, (Top(), 1), 1), (Imp, ("x", Var("x")), "x"), (Iff, (Bot(), 0.5), 0.5),
+    (Delta, (b"x",), b"x"), (Power, (2, 3), 2),
+]
+
+
+@pytest.mark.parametrize("cls, args, child", _BAD_CHILDREN,
+                         ids=[cls.__name__ for cls, _, _ in _BAD_CHILDREN])
+def test_connectives_refuse_a_child_that_is_not_a_formula(cls, args, child):
+    # such a tree would fail in render with a bare KeyError, so it is not built
+    with pytest.raises(ValueError) as refused:
+        cls(*args)
+    assert str(refused.value) == f"{cls.__name__} takes formulas, got {child!r}"
+
+
 def test_render_golden_strings():
     assert str(Neg(Var("x"))) == "~x"
     assert str(Power(Var("x"), 2)) == "x^2"
